@@ -9,7 +9,7 @@ deterministic JSON object.
 
 Exit codes: 0 success, 1 negative mathematical result (not algebraic at
 bounds, certification false, method disagreement, inconsistent seed),
-2 input or precision error, 3 enumeration budget exceeded.
+2 input, usage or precision error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _cmd_implicitize(args) -> tuple[dict, int]:
     series = series_from_obj(load_json(args.series))
     shape = shape_from_obj(load_json(args.shape)) if args.shape else full_support(args.dx, args.dy)
     try:
-        result = reconstruct(shape, series, args.dx, args.dy, minor_budget=args.minor_budget)
+        result = reconstruct(shape, series, args.dx, args.dy)
     except NotAlgebraicError as exc:
         return {"result": "not-algebraic-at-bounds", "detail": str(exc)}, EXIT_NEGATIVE
     payload = {
@@ -234,8 +234,17 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     return {"selftest": "ok", "checks": passed}, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as InputError instead of exiting, so that they
+    too produce one JSON object; ``--help`` still prints and exits."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algseries",
         description="exact toolkit for algebraic power series",
     )
@@ -260,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=int, required=True)
     p.add_argument("--dy", type=int, required=True)
     p.add_argument("--shape", default=None)
-    p.add_argument("--minor-budget", type=int, default=512)
     common(p)
     p.set_defaults(handler=_cmd_implicitize)
 
@@ -294,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         payload, code = args.handler(args)
     except (InputError, PrecisionError) as exc:
         _emit(args, {"error": type(exc).__name__, "detail": str(exc)})

@@ -149,6 +149,22 @@ def test_input_errors_exit_two(files, capsys):
     code, obj = run(capsys, ["certify", "--poly", str(garbled),
                              "--series", files["root"], "--dx", "2", "--dy", "2"])
     assert code == 2
+    # usage errors: the minor-search budget is gone, so its flag is now an
+    # unknown argument, and a missing required argument
+    code, obj = run(capsys, ["implicitize", "--series", files["root"],
+                             "--dx", "2", "--dy", "2", "--minor-budget", "8"])
+    assert code == 2 and obj["error"] == "InputError"
+    assert "--minor-budget" in obj["detail"]
+    code, obj = run(capsys, ["implicitize", "--series", files["root"], "--dx", "2"])
+    assert code == 2 and obj["error"] == "InputError"
+    assert "--dy" in obj["detail"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["implicitize", "--help"])
+    assert exc.value.code == 0
+    assert "--minor-budget" not in capsys.readouterr().out
 
 
 def test_inconsistent_seed_exits_one(files, capsys):

@@ -5,13 +5,19 @@ from itertools import combinations
 import pytest
 
 from algseries import (BivarPoly, MinorIndex, NotAlgebraicError, PrecisionError,
-                       SupportShape, TruncatedSeries, bareiss_det, build_slab,
-                       certify, eval_at_series, is_algebraic_rel, newton_lift,
-                       reconstruct, series_pow, wilczynski_minor)
+                       SupportShape, TruncatedSeries, bareiss_det, branch_data,
+                       build_slab, certify, eval_at_series, full_support,
+                       is_algebraic_rel, newton_lift, reconstruct, series_pow,
+                       wilczynski_minor)
 from conftest import (E3_RECONSTRUCTED, E3_SHAPE, E4_POLY, e3_family_instance,
-                      nonzero_rational, rational)
+                      henselian_instance, nonzero_rational, rational)
 
 ROOT16 = newton_lift(E4_POLY, [1, 1], 16).series
+# y0 = x/(1 - x): every coefficient 1, killed by x + xy - y and its multiples
+GEOMETRIC14 = TruncatedSeries([1] * 14)
+# y^2 - x^2 - 2x^2y^2 and its root through seed 1, 0
+Y2_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 2): -2})
+Y2_ROOT20 = newton_lift(Y2_POLY, [1, 0], 20).series
 
 
 def random_series(rng, precision):
@@ -249,6 +255,11 @@ def test_reconstruct_rational_series():
     shape = SupportShape(F=((0, 1), (1, 1)), G=((1, 0), (2, 0)))
     result = reconstruct(shape, c, 2, 1)
     assert result.poly == BivarPoly({(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): -1})
+    # x/(1 - x) on the full (2, 2) grid: the slab kernel also holds
+    # x (x + xy - y), but the relation returned is the one with the
+    # anti-lex smallest leading F-term
+    result = reconstruct(full_support(2, 2), GEOMETRIC14, 2, 2)
+    assert result.poly == BivarPoly({(1, 0): 1, (1, 1): 1, (0, 1): -1})
 
 
 def test_reconstruct_degenerate_rational_series():
@@ -278,6 +289,80 @@ def test_reconstruct_under_ramification_constraints():
     c = TruncatedSeries([1] + [0] * 9)
     result = reconstruct(shape, c, 2, 2)
     assert result.poly == BivarPoly({(0, 2): 1, (2, 0): -1})
+
+
+def test_reconstruct_returns_the_polynomial_not_a_multiple():
+    # the (2, 3) grid also holds y (y^2 - x^2 - 2x^2y^2)
+    result = reconstruct(full_support(2, 3), Y2_ROOT20, 2, 3)
+    assert result.poly == Y2_POLY.primitive_normalized()
+    assert certify(result.poly, Y2_ROOT20, 2, 3)
+
+
+def liftable_henselian(rng, dx, dy):
+    """A henselian_instance whose two-term seed isolates its branch."""
+    while True:
+        inst = henselian_instance(rng, dx, dy)
+        if inst is None:
+            continue
+        P, seed = inst
+        try:
+            bd = branch_data(P, TruncatedSeries(seed))
+        except Exception:
+            continue
+        if len(seed) >= bd.k0 + 2:
+            return P, seed
+
+
+@pytest.mark.parametrize("dx, dy, count", [(4, 4, 2), (5, 5, 1)])
+def test_reconstruct_at_large_bounds(dx, dy, count):
+    rng = random.Random(100 * dx + dy)
+    precision = 2 * dx * dy + dx + 4
+    for _ in range(count):
+        P, seed = liftable_henselian(rng, dx, dy)
+        lift = newton_lift(P, seed, precision + 8).series
+        prefix = lift.truncate(precision)
+        result = reconstruct(full_support(dx, dy), prefix, dx, dy)
+        Q = result.poly
+        assert Q.x_degree <= dx and Q.y_degree <= dy
+        assert certify(Q, prefix, dx, dy)
+        # the relation keeps vanishing past tau: lifted from the prefix it
+        # follows the root of P, with a residual beyond the new precision
+        report = newton_lift(Q, list(prefix.one_based()), precision + 8)
+        assert report.residual_ord is None or report.residual_ord > precision + 8
+        assert report.series.one_based() == lift.one_based()
+
+
+def test_elimination_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    P, seed = liftable_henselian(rng, 3, 3)
+    cases = [
+        (full_support(2, 2), GEOMETRIC14, 2, 2),
+        (full_support(2, 3), Y2_ROOT20, 2, 3),
+        (E3_SHAPE, ROOT16, 2, 2),
+        (SupportShape(F=((0, 1), (1, 1)), G=((1, 0), (2, 0))),
+         TruncatedSeries([F(-1)] + [F(0)] * 11), 2, 1),
+        (full_support(3, 3), newton_lift(P, seed, 21).series, 3, 3),
+        (E3_SHAPE, random_series(rng, 9), 2, 2),
+    ]
+    coranks = []
+    for shape, c, dx, dy in cases:
+        slab = build_slab(shape, c, 2 * dx * dy)
+        matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                               for row in slab.entries])
+        basis = matrix.nullspace()
+        coranks.append(len(basis))
+        assert is_algebraic_rel(shape, c, dx, dy).rank == len(shape.F) - len(basis)
+        if not basis:
+            with pytest.raises(NotAlgebraicError):
+                reconstruct(shape, c, dx, dy)
+            continue
+        poly = reconstruct(shape, c, dx, dy).poly
+        vec = sympy.Matrix([sympy.Rational(poly.coefficient(i, j).numerator,
+                                           poly.coefficient(i, j).denominator)
+                            for i, j in shape.F])
+        assert sympy.Matrix.hstack(*basis, vec).rank() == len(basis)
+    assert max(coranks) > 1 and min(coranks) == 0
 
 
 def test_reconstruct_round_trip_residual():
