@@ -9,7 +9,9 @@ deterministic JSON object.
 
 Exit codes: 0 success, 1 negative mathematical result (not algebraic at
 bounds, certification false, method disagreement, inconsistent seed),
-2 input, usage or precision error, 3 enumeration budget exceeded.
+2 input, usage or precision error, 3 enumeration budget exceeded, 4 internal
+error (any other exception: a bug, reported as ``InternalError`` with the
+exception's type and message, the traceback going to stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .bivar import BivarPoly
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV = "ALGSERIES_BUDGET"
 
@@ -315,6 +319,10 @@ def main(argv=None) -> int:
     except (NotSimpleRootError, LiftError, NotAlgebraicError) as exc:
         _emit(args, {"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_NEGATIVE
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        _emit(args, {"error": "InternalError", "detail": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
     _emit(args, payload)
     return code
 

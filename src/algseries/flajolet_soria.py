@@ -12,7 +12,12 @@ integer weights) and never reuses the Hensel-form coefficients, so the two
 routes stay independent evidence of each other.
 
 All enumerations run under a node budget and fail fast once it is
-exhausted; the formulas are exponential and must stay interactive.
+exhausted; the formulas are exponential and must stay interactive.  They
+run from explicit stacks rather than by recursion, so a long seed or a
+polynomial with many terms costs time and budget but never stack depth.
+``weighted_compositions`` (the seed spreads of a given size and weight)
+and ``multinomial`` are the one enumerator and the one multinomial that
+the Hensel-form tables in ``henselization`` use as well.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from .bivar import BivarPoly
@@ -47,46 +53,48 @@ class EnumerationBudget:
 
 def weighted_compositions(length: int, total: int, weight: int) -> Iterator[tuple[int, ...]]:
     """Vectors t of the given length with sum(t) = total and
-    sum((v+1) * t[v]) = weight (positions weighted 1..length)."""
-    if total < 0 or weight < 0:
-        return
-    prefix = [0] * length
+    sum((v+1) * t[v]) = weight (positions weighted 1..length).
 
-    def rec(pos: int, rem_total: int, rem_weight: int):
-        v = pos + 1
-        if pos == length - 1:
-            if rem_total * v == rem_weight:
-                prefix[pos] = rem_total
-                yield tuple(prefix)
-                prefix[pos] = 0
-            return
-        for t in range(rem_total + 1):
-            rest = rem_total - t
-            w = rem_weight - v * t
-            if w < 0:
+    Such a vector is a partition of ``weight`` into exactly ``total`` parts
+    of size at most ``length`` (t[v] parts of size v+1).  The partitions are
+    walked from the largest part list down, one successor at a time, so the
+    work per vector is O(total + length) and nothing recurses.
+    """
+    if total < 0 or not total <= weight <= total * length:
+        return
+    parts = [0] * total
+
+    def fill(start: int, rem: int, cap: int) -> None:
+        # the lexicographically greatest non-increasing completion
+        for pos in range(start, total):
+            parts[pos] = min(cap, rem - (total - 1 - pos))
+            rem -= parts[pos]
+
+    fill(0, weight, length)
+    while True:
+        t = [0] * length
+        for size in parts:
+            t[size - 1] += 1
+        yield tuple(t)
+        # lower the rightmost part whose suffix can absorb one more unit
+        rem = parts[-1] if parts else 0
+        for pos in range(total - 2, -1, -1):
+            if rem + 1 <= (total - 1 - pos) * (parts[pos] - 1):
+                parts[pos] -= 1
+                fill(pos + 1, rem + 1, parts[pos])
                 break
-            if rest == 0:
-                if w == 0:
-                    prefix[pos] = t
-                    yield tuple(prefix)
-                    prefix[pos] = 0
-                continue
-            if not rest * (v + 1) <= w <= rest * length:
-                continue
-            prefix[pos] = t
-            yield from rec(pos + 1, rest, w)
-            prefix[pos] = 0
-
-    yield from rec(0, total, weight)
+            rem += parts[pos]
+        else:
+            return
 
 
-def _all_compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _all_compositions(length - 1, total - head):
-            yield (head,) + tail
+def multinomial(L: Sequence[int]) -> int:
+    """sum(L)! / prod(t!) over the entries t of L."""
+    out = factorial(sum(L))
+    for t in L:
+        if t > 1:
+            out //= factorial(t)
+    return out
 
 
 class ReducedHenselEq:
@@ -157,26 +165,26 @@ def compositions(Q: ReducedHenselEq, n: int, size_cap: int,
     """Exponent vectors over the support of Q with x-weight exactly n,
     y-weight one less than the size, and size at most size_cap."""
     support = Q.support
-    chosen: list[int] = [0] * len(support)
-
-    def rec(idx: int, rem_n: int, size: int, y_weight: int):
+    # depth-first from an explicit stack, children pushed in reverse so they
+    # are visited in increasing exponent order; a frame is (support index,
+    # x-weight left, size, y-weight, the nonzero (index, exponent) pairs)
+    stack = [(0, n, 0, 0, ())]
+    while stack:
+        idx, rem_n, size, y_weight, chosen = stack.pop()
         budget.spend()
         if size > size_cap or y_weight > size_cap - 1:
-            return
+            continue
         if idx == len(support):
             if rem_n == 0 and size >= 1 and y_weight == size - 1:
-                yield CompositionVector(
-                    tuple((support[t], chosen[t]) for t in range(len(support)) if chosen[t]),
-                    size, n, y_weight)
-            return
-        l, _m = support[idx]
+                yield CompositionVector(tuple((support[t], e) for t, e in chosen),
+                                        size, n, y_weight)
+            continue
+        l, m = support[idx]
         top = rem_n // l if l > 0 else size_cap - size
-        for e in range(top + 1):
-            chosen[idx] = e
-            yield from rec(idx + 1, rem_n - l * e, size + e, y_weight + _m * e)
-        chosen[idx] = 0
-
-    yield from rec(0, n, 0, 0)
+        for e in range(top, 0, -1):
+            stack.append((idx + 1, rem_n - l * e, size + e, y_weight + m * e,
+                          chosen + ((idx, e),)))
+        stack.append((idx + 1, rem_n, size, y_weight, chosen))
 
 
 def fs_coefficient(Q: ReducedHenselEq, n: int, *, apply_support_cap: bool = False,
@@ -197,13 +205,10 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *, apply_support_cap: bool = Fals
     coeffs = Q.terms
     total = Fraction(0)
     for vec in compositions(Q, n, cap, budget):
-        num = factorial(vec.size - 1)
-        den = 1
-        prod = Fraction(1)
+        prod = Fraction(multinomial([e for _, e in vec.exponents]), vec.size)
         for key, e in vec.exponents:
-            den *= factorial(e)
             prod *= coeffs[key] ** e
-        total += Fraction(num, den) * prod
+        total += prod
     return total
 
 
@@ -231,68 +236,56 @@ def _slots(i: int, j: int, k: int, i_k: int) -> list[tuple[int, tuple[int, ...],
     on m hold automatically.
     """
     out = []
-    fj = factorial(j)
     for m in range(0, j + 1):
-        fm = factorial(m)
-        for L in _all_compositions(k + 1, j - m):
-            l_weight = sum((v + 1) * t for v, t in enumerate(L))
-            if l_weight + m * (k + 1) + i - i_k < 1:
-                continue
-            base = fj // fm
-            for t in L:
-                base //= factorial(t)
-            out.append((m, L, base))
+        # lexicographic spread order keeps the slot order, on which the
+        # pruning of _e_from_slots (and so its node count) depends
+        spreads = sorted(L for w in range(max(0, 1 - m * (k + 1) - i + i_k),
+                                          (k + 1) * (j - m) + 1)
+                         for L in weighted_compositions(k + 1, j - m, w))
+        out.extend((m, L, comb(j, m) * multinomial(L)) for L in spreads)
     return out
 
 
 def _e_from_slots(items, slot_table, T_S: tuple[int, ...], budget: EnumerationBudget) -> int:
     """Sum of q!/prod(n!) * prod(base^n) over all assignments of the item
     exponents to their slots whose seed spreads add up to exactly T_S."""
-    q = sum(s for _, s in items)
-    for key, s in items:
-        if s and not slot_table[key]:
+    if not items:
+        return int(not any(T_S))
+    item_slots = [slot_table[key] for key, _ in items]
+    for (_, s), slots in zip(items, item_slots):
+        if s and not slots:
             return 0
-    remaining = list(T_S)
+    fq = factorial(sum(s for _, s in items))
     acc = 0
-    fq = factorial(q)
-
-    def place(item_idx: int, denom: int, bases: int):
-        nonlocal acc
-        if item_idx == len(items):
-            if not any(remaining):
-                acc += fq // denom * bases
-            return
-        key, s = items[item_idx]
-        slots = slot_table[key]
-
-        def assign(slot_idx: int, left: int, denom2: int, bases2: int):
-            budget.spend()
-            m, L, base = slots[slot_idx]
-            if slot_idx == len(slots) - 1:
-                n = left
-                for v, t in enumerate(L):
-                    if t and remaining[v] < n * t:
-                        return
-                for v, t in enumerate(L):
-                    remaining[v] -= n * t
-                place(item_idx + 1, denom2 * factorial(n), bases2 * base ** n)
-                for v, t in enumerate(L):
-                    remaining[v] += n * t
-                return
-            top = left
-            for v, t in enumerate(L):
-                if t:
-                    top = min(top, remaining[v] // t)
-            for n in range(top + 1):
-                for v, t in enumerate(L):
-                    remaining[v] -= n * t
-                assign(slot_idx + 1, left - n, denom2 * factorial(n), bases2 * base ** n)
-                for v, t in enumerate(L):
-                    remaining[v] += n * t
-
-        assign(0, s, denom, bases)
-
-    place(0, 1, 1)
+    # a node puts n copies of one slot's spread into the spread left to
+    # cover; a frame is (item index, slot index, exponent left for the item,
+    # spread left, prod n!, prod base^n), and an item's last slot takes all
+    # that is left of its exponent
+    stack = [(0, 0, items[0][1], tuple(T_S), 1, 1)]
+    while stack:
+        item_idx, slot_idx, left, remaining, denom, bases = stack.pop()
+        budget.spend()
+        slots = item_slots[item_idx]
+        _m, L, base = slots[slot_idx]
+        if slot_idx < len(slots) - 1:
+            for n in range(left + 1):
+                if n:
+                    remaining = tuple(map(sub, remaining, L))
+                    if min(remaining) < 0:
+                        break
+                stack.append((item_idx, slot_idx + 1, left - n, remaining,
+                              denom * factorial(n), bases * base ** n))
+            continue
+        if left:
+            remaining = tuple(map(sub, remaining, [left * t for t in L]))
+            if min(remaining) < 0:
+                continue
+        denom *= factorial(left)
+        bases *= base ** left
+        if item_idx + 1 < len(items):
+            stack.append((item_idx + 1, 0, items[item_idx + 1][1], remaining, denom, bases))
+        elif not any(remaining):
+            acc += fq // denom * bases
     return acc
 
 
@@ -306,6 +299,8 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
     the multinomial q!/prod(n!) times the product of slot multinomials, so
     the result is a natural number (0 for an empty enumeration).
     """
+    if len(T_S) != k + 1:
+        raise InputError(f"seed multi-exponent needs {k + 1} entries, got {len(T_S)}")
     if budget is None:
         budget = EnumerationBudget()
     items = []
@@ -360,50 +355,44 @@ def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
         if p_star < 0:
             continue
         acc_q = Fraction(0)
-        chosen: list[int] = [0] * len(usable)
-
-        def s_rec(idx: int, left: int, s1: int, s2: int):
-            nonlocal acc_q
+        # frames (term index, |S| left, x-weight, y-weight, nonzero (index, s) pairs)
+        stack = [(0, q, 0, 0, ())]
+        while stack:
+            idx, left, s1, s2, chosen = stack.pop()
             budget.spend()
-            if s1 > p_star:
-                return
-            if idx == len(usable):
-                if left or s2 < q - 1:
-                    return
-                tot = s2 - q + 1
-                wgt = p_star - s1
-                if tot == 0:
-                    if wgt != 0:
-                        return
-                elif not tot <= wgt <= (k + 1) * tot:
-                    return
-                items = [(usable[t][0], chosen[t]) for t in range(len(usable)) if chosen[t]]
-                a_power = Fraction(1)
-                for t in range(len(usable)):
-                    if chosen[t]:
-                        a_power *= usable[t][1] ** chosen[t]
-                inner = Fraction(0)
-                for T in weighted_compositions(k + 1, tot, wgt):
-                    budget.spend()
-                    e = _e_from_slots(items, slot_table, T, budget)
-                    if e:
-                        mono = Fraction(1)
-                        for v, t in enumerate(T):
-                            if t:
-                                mono *= seed[v] ** t
-                        inner += e * mono
-                acc_q += a_power * inner
-                return
-            key, _a, has_slots = usable[idx]
-            i, j = key
-            top = left if has_slots else 0
-            for e in range(top + 1):
-                if s1 + i * e > p_star:
-                    break
-                chosen[idx] = e
-                s_rec(idx + 1, left - e, s1 + i * e, s2 + j * e)
-            chosen[idx] = 0
-
-        s_rec(0, q, 0, 0)
+            if idx < len(usable):
+                (i, j), _a, has_slots = usable[idx]
+                top = left if has_slots else 0
+                if i:
+                    top = min(top, (p_star - s1) // i)
+                for e in range(top, 0, -1):
+                    stack.append((idx + 1, left - e, s1 + i * e, s2 + j * e,
+                                  chosen + ((idx, e),)))
+                stack.append((idx + 1, left, s1, s2, chosen))
+                continue
+            if left or s2 < q - 1:
+                continue
+            tot = s2 - q + 1
+            wgt = p_star - s1
+            if tot == 0:
+                if wgt != 0:
+                    continue
+            elif not tot <= wgt <= (k + 1) * tot:
+                continue
+            items = [(usable[t][0], e) for t, e in chosen]
+            a_power = Fraction(1)
+            for t, e in chosen:
+                a_power *= usable[t][1] ** e
+            inner = Fraction(0)
+            for T in weighted_compositions(k + 1, tot, wgt):
+                budget.spend()
+                e = _e_from_slots(items, slot_table, T, budget)
+                if e:
+                    mono = Fraction(1)
+                    for v, t in enumerate(T):
+                        if t:
+                            mono *= seed[v] ** t
+                    inner += e * mono
+            acc_q += a_power * inner
         total += Fraction(1, q) * Fraction(-1) ** q / w0 ** q * acc_q
     return total

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .bivar import BivarPoly, eval_at_poly, substitute_shift, substitute_tail
 from .errors import InputError, NotSimpleRootError, PrecisionError
-from .flajolet_soria import ReducedHenselEq, weighted_compositions
+from .flajolet_soria import ReducedHenselEq, multinomial, weighted_compositions
 from .series import TruncatedSeries, _frac
 
 
@@ -151,6 +151,24 @@ def find_k0(P: BivarPoly, c: TruncatedSeries) -> int:
     return branch_data(P, c).k0
 
 
+def _power_coefficient(seed, n: int, w: int):
+    """Coefficient of x^w in (c_1 x + ... + c_s x^s)^n for seed = c_1..c_s,
+    as the multinomial sum over the spreads of n with weight w (the integer
+    0 when there is none).
+
+    This expands no substitution, so the tables built from it stay an
+    independent check of ``substitute_tail``.
+    """
+    total = 0
+    for L in weighted_compositions(len(seed), n, w):
+        term = multinomial(L)
+        for c, t in zip(seed, L):
+            if t:
+                term *= c ** t
+        total += term
+    return total
+
+
 def omega0_closed(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: int) -> Fraction:
     """The nonzero scalar at the branch point, by the closed multinomial
     sum over the seed monomials of total degree j - 1 in c_1..c_{k0+1}.
@@ -163,20 +181,8 @@ def omega0_closed(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: int) -> Fract
     seed = [c.coefficient(n) for n in range(1, k0 + 2)]
     total = Fraction(0)
     for (i, j), a in sorted(P.terms.items()):
-        if j < 1:
-            continue
-        target = i_k0 - k0 - 1 - i
-        if target < 0:
-            continue
-        fj = factorial(j)
-        for L in weighted_compositions(k0 + 1, j - 1, target):
-            base = fj
-            mono = Fraction(1)
-            for v, t in enumerate(L):
-                base //= factorial(t)
-                if t:
-                    mono *= seed[v] ** t
-            total += a * base * mono
+        if j >= 1:
+            total += a * j * _power_coefficient(seed, j - 1, i_k0 - k0 - 1 - i)
     if not total:
         raise NotSimpleRootError("the branch-point scalar vanishes")
     return total
@@ -195,18 +201,7 @@ def coefficient_after_branch(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: in
     seed = [c.coefficient(n) for n in range(1, k0 + 2)]
     total = Fraction(0)
     for (i, j), a in sorted(P.terms.items()):
-        target = i_k0 + 1 - i
-        if target < 0:
-            continue
-        fj = factorial(j)
-        for L in weighted_compositions(k0 + 1, j, target):
-            base = fj
-            mono = Fraction(1)
-            for v, t in enumerate(L):
-                base //= factorial(t)
-                if t:
-                    mono *= seed[v] ** t
-            total += a * base * mono
+        total += a * _power_coefficient(seed, j, i_k0 + 1 - i)
     return -total / w0
 
 
@@ -251,22 +246,12 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     for l in range(1, lmax + 1):
         m_top = min((l + i_k) // (k + 1), dy)
         for m in range(0, m_top + 1):
-            acc = Fraction(0)
+            acc = 0
             for (i, j), a in support:
-                if j < m:
-                    continue
-                target = l + i_k - m * (k + 1) - i
-                if target < 0:
-                    continue
-                fj = factorial(j) // factorial(m)
-                for L in weighted_compositions(k + 1, j - m, target):
-                    base = fj
-                    mono = Fraction(1)
-                    for v, t in enumerate(L):
-                        base //= factorial(t)
-                        if t:
-                            mono *= z[v] ** t
-                    acc += a * base * mono
+                if j >= m:
+                    power = _power_coefficient(z, j - m, l + i_k - m * (k + 1) - i)
+                    if power:
+                        acc += a * comb(j, m) * power
             if acc:
                 terms[(l, m)] = -acc / omega0
     return HenselForm(k=k, i_k=i_k, omega0=omega0, eq=ReducedHenselEq(terms))

@@ -187,3 +187,21 @@ def test_criterion_8_negative_controls():
     assert negatives + certified == 100
     _ok(8, f"{negatives} not-algebraic-at-bounds, {certified} certified-and-"
            "extended, no uncertified positives")
+
+
+def test_long_seed_expansion_exits_cleanly(tmp_path, capsys):
+    # y - x - xy has the root x/(1 - x); with 1100 seed coefficients every
+    # enumeration spans a vector longer than the interpreter's recursion limit
+    poly = tmp_path / "poly.json"
+    poly.write_text(dumps({"terms": [{"i": 0, "j": 1, "c": "1"}, {"i": 1, "j": 0, "c": "-1"},
+                                     {"i": 1, "j": 1, "c": "-1"}]}))
+    seed = tmp_path / "seed.json"
+    seed.write_text(dumps({"coefficients": ["1"] * 1100}))
+    start = time.perf_counter()
+    code = main(["expand", "--poly", str(poly), "--seed", str(seed), "--count", "3",
+                 "--method", "all"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and obj["agree"] is True
+    assert obj["coefficients"] == {m: ["1", "1", "1"] for m in ("newton", "fs", "closed")}
+    _ok("long-seed", f"expand --method all from 1100 coefficients in "
+                     f"{time.perf_counter() - start:.2f} s, all three methods agree")

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from algseries import BivarPoly, cli, newton_lift
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
-from algseries import newton_lift
 from conftest import E4_POLY
 
 E4_OBJ = poly_to_obj(E4_POLY)
@@ -179,6 +179,32 @@ def test_budget_exit_three(files, capsys):
     code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", files["seed"],
                              "--count", "6", "--method", "closed", "--budget", "10"])
     assert code == 3 and obj["error"] == "BudgetError"
+
+
+def test_budget_exit_three_with_long_seed(files, capsys):
+    # y^2 - x y^2 + y - 2xy - x has the root x/(1 - x): a 100-term seed
+    # makes the closed form's slot lists long
+    poly = files["dir"] / "quad.json"
+    poly.write_text(dumps(poly_to_obj(BivarPoly(
+        {(0, 2): 1, (1, 2): -1, (0, 1): 1, (1, 1): -2, (1, 0): -1}))))
+    seed = files["dir"] / "ones.json"
+    seed.write_text(dumps({"coefficients": ["1"] * 100}))
+    code, obj = run(capsys, ["expand", "--poly", str(poly), "--seed", str(seed),
+                             "--count", "3", "--method", "closed", "--budget", "50000"])
+    assert code == 3
+    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 50000 nodes"}
+
+
+def test_internal_error_exit_four(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_selftest", broken)
+    code = main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {"error": "InternalError", "detail": "RuntimeError: boom"}
+    assert "Traceback" in captured.err
 
 
 def test_budget_env_override(files, capsys, monkeypatch):

@@ -1,14 +1,17 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
-                       ReducedHenselEq, TruncatedSeries,
+                       ReducedHenselEq, TruncatedSeries, branch_data,
                        closed_form_coefficient, compositions, e_coefficient,
                        eval_at_series, fixed_point_expand, fs_coefficient,
-                       fs_expand, henselize, newton_lift)
+                       fs_expand, henselize, newton_lift, weighted_compositions)
+from algseries.flajolet_soria import _slots
 from conftest import E4_POLY, liftable_instances, nonzero_rational, rational
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
@@ -110,6 +113,12 @@ def test_fs_defining_equation_property():
         assert residual.is_zero_truncation
 
 
+def test_fs_long_support_does_not_recurse():
+    # one stack frame per support term would pass the interpreter's limit
+    q = ReducedHenselEq({(l, 0): 1 for l in range(1, 1501)})
+    assert fs_coefficient(q, 3) == 1
+
+
 def test_composition_vectors_cache_their_norms():
     budget = EnumerationBudget()
     for vec in compositions(CATALAN_EQ, 4, 7, budget):
@@ -119,6 +128,53 @@ def test_composition_vectors_cache_their_norms():
         assert vec.y_weight == vec.size - 1
 
 
+# -- the enumeration layer
+
+
+def test_weighted_compositions_match_brute_force():
+    for length in range(1, 6):
+        for total in range(0, 5):
+            for weight in range(-1, total * length + 2):
+                got = list(weighted_compositions(length, total, weight))
+                expect = [t for t in itertools.product(range(total + 1), repeat=length)
+                          if sum(t) == total
+                          and sum((v + 1) * e for v, e in enumerate(t)) == weight]
+                assert len(set(got)) == len(got)
+                assert sorted(got) == expect
+    assert list(weighted_compositions(3, -1, 0)) == []
+
+
+def test_weighted_compositions_long_vectors():
+    for w in (1, 550, 1100):
+        unit = [0] * 1100
+        unit[w - 1] = 1
+        assert list(weighted_compositions(1100, 1, w)) == [tuple(unit)]
+    assert list(weighted_compositions(1100, 1, 1101)) == []
+    assert len(list(weighted_compositions(1100, 2, 1100))) == 550
+
+
+def _slots_by_filter(i, j, k, i_k):
+    # every spread of j - m over k + 1 places, in lexicographic order, kept
+    # when its x-level clears i_k
+    out = []
+    for m in range(j + 1):
+        for L in itertools.product(range(j - m + 1), repeat=k + 1):
+            if sum(L) != j - m:
+                continue
+            if sum((v + 1) * t for v, t in enumerate(L)) + m * (k + 1) + i - i_k < 1:
+                continue
+            base = factorial(j) // factorial(m)
+            for t in L:
+                base //= factorial(t)
+            out.append((m, L, base))
+    return out
+
+
+def test_slots_match_filter_over_all_spreads():
+    for i, j, k, i_k in itertools.product(range(4), range(5), range(1, 4), range(9)):
+        assert _slots(i, j, k, i_k) == _slots_by_filter(i, j, k, i_k)
+
+
 # -- the closed form
 
 
@@ -126,6 +182,23 @@ def test_closed_form_e4_fixture():
     for p, expect in [(1, F(0)), (2, F(-1)), (3, F(-1, 2))]:
         got = closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, p)
         assert got == expect
+
+
+def test_closed_form_node_counts_on_e4():
+    # the slot order fixes the pruning, and so the number of nodes visited
+    for p, nodes in [(6, 4077), (8, 14512), (10, 43895)]:
+        budget = EnumerationBudget()
+        closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, p, budget=budget)
+        assert budget.used == nodes
+
+
+def test_closed_form_long_polynomial_does_not_recurse():
+    # y - (x + x^2 + ... + x^1200): one stack frame per term of P would pass
+    # the interpreter's limit; the root's coefficients are 1 up to x^1200
+    P = BivarPoly({(0, 1): 1, **{(i, 0): -1 for i in range(1, 1201)}})
+    bd = branch_data(P, TruncatedSeries([1, 1]))
+    assert (bd.k0, bd.i_k0, bd.omega0) == (0, 1, 1)
+    assert [closed_form_coefficient(P, [1, 1], 1, 2, 1, p) for p in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_closed_form_symbolic_spot_check():
@@ -170,6 +243,9 @@ def test_e_coefficient_single_factor_is_multinomial():
     assert e_coefficient({(2, 2): 1}, (2, 0), k, i_k, 2, 2) == 1
     # no admissible slot: x-level would not clear i_k
     assert e_coefficient({(2, 0): 1}, (0, 0), k, i_k, 2, 2) == 0
+    # T must name one exponent per seed coefficient c_1..c_{k+1}
+    with pytest.raises(InputError):
+        e_coefficient({(0, 2): 1}, (0, 2, 1), k, i_k, 2, 2)
 
 
 def test_e_coefficient_hand_checked_pairs():

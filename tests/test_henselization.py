@@ -2,11 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError,
                        TruncatedSeries, branch_data, coefficient_after_branch,
                        eval_at_poly, find_k0, henselize, newton_lift,
-                       omega0_closed, order_sequence, substitute_tail, uni_order)
+                       omega0_closed, order_sequence, series_pow, substitute_tail,
+                       uni_order)
+from algseries.henselization import _power_coefficient
 from conftest import E4_POLY, henselian_instance, liftable_instances, nonzero_rational
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
@@ -67,6 +71,17 @@ def test_find_k0_insufficient_precision():
 def test_branch_rejects_pure_x_polynomial():
     with pytest.raises(InputError):
         branch_data(BivarPoly({(1, 0): 1}), TruncatedSeries([1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                     min_size=1, max_size=4),
+       n=st.integers(0, 4), w=st.integers(0, 14))
+def test_power_coefficient_matches_series_power(seed, n, w):
+    # the x^w coefficient of (c_1 x + ... + c_s x^s)^n by repeated products
+    top = max(w, len(seed))
+    poly = TruncatedSeries(list(seed) + [0] * (top - len(seed)))
+    assert _power_coefficient(seed, n, w) == series_pow(poly, n, top).coefficient(w)
 
 
 def test_omega0_closed_e4_fixture():
