@@ -1,6 +1,7 @@
-"""Sparse bivariate polynomials over the rationals, and the substitutions
+"""Sparse bivariate polynomials over the rationals, the substitutions
 y -> z(x) + x^e * y that drive both implicitization and Hensel-form
-reduction.
+reduction, and the one evaluation of P(x, y(x)) modulo x^(n+1) that both
+certification and Newton lifting run.
 
 A polynomial is a finite map (i, j) -> coefficient of x^i y^j with no zero
 entries stored.  The x-degree, y-degree and x-order are always derived
@@ -14,7 +15,7 @@ from math import comb, gcd
 from typing import Mapping, Sequence
 
 from .errors import InputError, PrecisionError
-from .series import TruncatedSeries, _frac
+from .series import TruncatedSeries, _frac, _mul
 
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
@@ -23,19 +24,6 @@ def _utrim(a: list[Fraction]) -> list[Fraction]:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _umul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for n, x in enumerate(a):
-        if not x:
-            continue
-        for m, y in enumerate(b):
-            if y:
-                out[n + m] += x * y
-    return _utrim(out)
 
 
 def uni_order(a: Sequence[Fraction]) -> int | None:
@@ -135,35 +123,47 @@ class BivarPoly:
         return BivarPoly({k: Fraction(sign * v, content) for k, v in ints.items()})
 
 
-def _poly_powers(z: Sequence[Fraction], top: int) -> list[list[Fraction]]:
-    """Dense powers z^0..z^top of the polynomial c_1 x + ... + c_k x^k."""
-    dense = _utrim([Fraction(0)] + [_frac(c) for c in z])
+def _powers(y: Sequence[Fraction], top: int, n: int) -> list[list[Fraction]]:
+    """Dense powers y^0..y^top of the dense series y, each cut after x^n."""
     powers = [[Fraction(1)]]
     for _ in range(top):
-        powers.append(_umul(powers[-1], dense))
+        powers.append(_mul(powers[-1], y, n))
     return powers
 
 
-def eval_at_poly(P: BivarPoly, z: Sequence) -> list[Fraction]:
-    """Exact dense coefficients of P(x, z(x)) for z = c_1 x + ... + c_k x^k."""
-    powers = _poly_powers(z, P.y_degree)
-    out: list[Fraction] = []
+def _evaluate(P: BivarPoly, y: Sequence[Fraction], n: int) -> list[Fraction]:
+    """Dense P(x, y(x)) modulo x^(n+1), n + 1 entries, for a dense y."""
+    powers = _powers(y, P.y_degree, n)
+    out = [Fraction(0)] * (n + 1)
     for (i, j), a in P._terms.items():
-        zj = powers[j]
-        need = i + len(zj)
-        if len(out) < need:
-            out.extend([Fraction(0)] * (need - len(out)))
-        for m, c in enumerate(zj):
+        if i > n:
+            continue  # the whole term lies past the cut
+        for m, c in enumerate(powers[j][: n + 1 - i]):
             if c:
                 out[i + m] += a * c
-    return _utrim(out)
+    return out
+
+
+def eval_at_poly(P: BivarPoly, z: Sequence, precision: int | None = None) -> list[Fraction]:
+    """Dense coefficients of P(x, z(x)) modulo x^(precision+1) for
+    z = c_1 x + ... + c_k x^k, trailing zeros trimmed.
+
+    The default precision dx + dy*k is the degree bound, so the result is
+    then P(x, z(x)) exactly.
+    """
+    if precision is None:
+        precision = P.x_degree + P.y_degree * len(z)
+    if precision < 0:
+        raise InputError("precision must be a natural number")
+    return _utrim(_evaluate(P, [Fraction(0)] + [_frac(c) for c in z], precision))
 
 
 def substitute_tail(P: BivarPoly, z: Sequence, e: int) -> BivarPoly:
     """Exact expansion of P(x, z(x) + x^e * y) as a bivariate polynomial."""
     if e < 1:
         raise InputError("substitution exponent must be at least 1")
-    powers = _poly_powers(z, P.y_degree)
+    dense = [Fraction(0)] + [_frac(c) for c in z]
+    powers = _powers(dense, P.y_degree, len(z) * P.y_degree)
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), a in P._terms.items():
         for m in range(j + 1):
@@ -215,20 +215,4 @@ def eval_at_series(P: BivarPoly, y: TruncatedSeries, precision: int) -> Truncate
         raise PrecisionError(
             f"series precision {y.precision} below requested {precision}"
         )
-    by_j: dict[int, dict[int, Fraction]] = {}
-    for (i, j), a in P._terms.items():
-        by_j.setdefault(j, {})[i] = a
-    acc = [Fraction(0)] * (precision + 1)
-    yj = TruncatedSeries((1,), precision=precision, start=0)
-    for j in range(0, P.y_degree + 1):
-        if j > 0:
-            yj = yj * y.truncate(precision)
-        xpoly = by_j.get(j)
-        if not xpoly:
-            continue
-        dense = yj.coefficients()
-        for i, a in xpoly.items():
-            for n in range(0, precision - i + 1):
-                if dense[n]:
-                    acc[i + n] += a * dense[n]
-    return TruncatedSeries._from_dense(acc)
+    return TruncatedSeries._from_dense(_evaluate(P, y.coefficients()[: precision + 1], precision))

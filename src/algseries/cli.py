@@ -48,7 +48,10 @@ def _budget_from(args) -> EnumerationBudget:
     limit = args.budget
     if limit is None:
         env = os.environ.get(BUDGET_ENV)
-        limit = int(env) if env else DEFAULT_NODE_BUDGET
+        try:
+            limit = int(env) if env else DEFAULT_NODE_BUDGET
+        except ValueError:
+            raise InputError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
     if limit <= 0:
         raise InputError("budget must be positive")
     return EnumerationBudget(limit=limit)
@@ -311,19 +314,21 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         payload, code = args.handler(args)
     except (InputError, PrecisionError) as exc:
-        _emit(args, {"error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INPUT
+        payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_INPUT
     except BudgetError as exc:
-        _emit(args, {"error": "BudgetError", "detail": str(exc)})
-        return EXIT_BUDGET
+        payload, code = {"error": "BudgetError", "detail": str(exc)}, EXIT_BUDGET
     except (NotSimpleRootError, LiftError, NotAlgebraicError) as exc:
-        _emit(args, {"error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_NEGATIVE
+        payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_NEGATIVE
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
-        _emit(args, {"error": "InternalError", "detail": f"{type(exc).__name__}: {exc}"})
-        return EXIT_INTERNAL
-    _emit(args, payload)
+        payload = {"error": "InternalError", "detail": f"{type(exc).__name__}: {exc}"}
+        code = EXIT_INTERNAL
+    try:
+        _emit(args, payload)
+    except OSError as exc:
+        sys.stdout.write(dumps({"error": "InputError",
+                                "detail": f"cannot write --output: {exc}"}))
+        return EXIT_INPUT
     return code
 
 

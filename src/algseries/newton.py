@@ -33,11 +33,6 @@ class LiftReport:
     residual_ord: int | None
 
 
-def _series_from_poly(dense: Sequence[Fraction], precision: int) -> TruncatedSeries:
-    # an exact polynomial supports any truncation claim
-    return TruncatedSeries(list(dense[: precision + 1]), precision=precision, start=0)
-
-
 def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     """Extend a root prefix c_1..c_s to the stated precision.
 
@@ -78,8 +73,8 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
         if t > e:
             target = min(2 * t - e, precision)
             work = target + e
-            u = _series_from_poly(eval_at_poly(P, cs), work)
-            v = _series_from_poly(eval_at_poly(deriv, cs), work)
+            u = TruncatedSeries(eval_at_poly(P, cs, work), precision=work, start=0)
+            v = TruncatedSeries(eval_at_poly(deriv, cs, work), precision=work, start=0)
             if v.valuation != e:
                 raise LiftError(
                     f"order of dP/dy at the prefix is {v.valuation}, expected {e}"
@@ -91,13 +86,13 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
             t = target
         else:
             i_t = bd.i_k0 + (t - bd.k0)
-            u = eval_at_poly(P, cs)
+            u = eval_at_poly(P, cs, i_t)
             coeff = u[i_t] if i_t < len(u) else Fraction(0)
             cs.append(-coeff / omega0)
             t += 1
         iterations += 1
 
-    residual = eval_at_poly(P, cs)
+    residual = eval_at_poly(P, cs)  # exact: residual_ord promises the true order
     residual_ord = uni_order(residual)
     if residual_ord is not None and residual_ord <= precision:
         raise LiftError(f"lift residual has order {residual_ord} <= {precision}")

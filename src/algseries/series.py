@@ -141,18 +141,29 @@ class TruncatedSeries:
         return TruncatedSeries._from_dense([f * c for c in self._c])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # schoolbook product, truncated; instance sizes never justify FFT
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         t = min(self._precision, other._precision)
-        out = [Fraction(0)] * (t + 1)
-        for n, a in enumerate(self._c[: t + 1]):
-            if not a:
-                continue
-            for m, b in enumerate(other._c[: t - n + 1]):
-                if b:
-                    out[n + m] += a * b
-        return TruncatedSeries._from_dense(out)
+        return TruncatedSeries._from_dense(_mul(self._c, other._c, t))
+
+
+def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+    """Dense product of two coefficient lists, cut after x^n.
+
+    The result has min(len(a) + len(b) - 1, n + 1) entries.  Every series
+    product and every power inside an evaluation of P(x, y(x)) comes here,
+    so a faster multiplication (integer numerators, Kronecker substitution)
+    is a change to this one function.
+    """
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * min(len(a) + len(b) - 1, n + 1)
+    for i, u in enumerate(a[: n + 1]):
+        if u:
+            for j, v in enumerate(b[: n + 1 - i]):
+                if v:
+                    out[i + j] += u * v
+    return out
 
 
 def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:

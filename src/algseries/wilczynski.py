@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bivar import BivarPoly, eval_at_poly, uni_order
+from .bivar import BivarPoly, eval_at_poly
 from .errors import InputError, NotAlgebraicError, PrecisionError
 from .series import TruncatedSeries, series_pow
 from .support import SupportShape, antilex_key
@@ -202,9 +202,7 @@ def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:
     if c.precision < tau:
         raise PrecisionError(f"certification depth {tau} exceeds precision {c.precision}")
     z = [c.coefficient(n) for n in range(1, tau + 1)]
-    residue = eval_at_poly(P, z)
-    order = uni_order(residue)
-    return order is None or order > tau
+    return not eval_at_poly(P, z, tau)
 
 
 @dataclass(frozen=True)

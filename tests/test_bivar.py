@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, TruncatedSeries, eval_at_poly,
                        eval_at_series, shift_substitute, substitute_shift,
@@ -98,6 +100,73 @@ def test_eval_at_series_matches_poly_eval():
         for n in range(7):
             want = dense[n] if n < len(dense) else F(0)
             assert series.coefficient(n) == want
+
+
+def _naive_eval(P, y):
+    """Exact P(x, y(x)) for y = y_0 + y_1 x + ... given densely: each
+    monomial x^i y^j is expanded by j repeated double sums."""
+    out = {}
+    for (i, j), a in P.terms.items():
+        term = {i: a}
+        for _ in range(j):
+            step = {}
+            for e, c in term.items():
+                for m, d in enumerate(y):
+                    step[e + m] = step.get(e + m, 0) + c * d
+            term = step
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    top = max((e for e, c in out.items() if c), default=-1)
+    return [F(out.get(e, 0)) for e in range(top + 1)]
+
+
+def _cut(dense, n):
+    """First n + 1 coefficients, zero-padded."""
+    return (list(dense) + [F(0)] * (n + 1))[: n + 1]
+
+
+def _trim(dense):
+    while dense and not dense[-1]:
+        dense.pop()
+    return dense
+
+
+_RATS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_POLYS = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)), _RATS,
+                         max_size=6).map(BivarPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=_POLYS, z=st.lists(_RATS, max_size=5))
+def test_eval_at_poly_cut_matches_exact_prefix(P, z):
+    exact = _naive_eval(P, [F(0)] + z)
+    assert eval_at_poly(P, z) == exact
+    top = P.x_degree + P.y_degree * len(z) + 3
+    for n in range(top + 1):
+        assert eval_at_poly(P, z, n) == _trim(_cut(exact, n))
+        y = TruncatedSeries(z, precision=max(n, len(z)), start=1)
+        assert eval_at_series(P, y, n).coefficients() == tuple(_cut(exact, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=_POLYS, y=st.lists(_RATS, min_size=1, max_size=6))
+def test_eval_at_series_with_constant_term(P, y):
+    series = TruncatedSeries(y, start=0)
+    for n in range(len(y)):
+        # coefficients of y past x^n cannot reach x^n
+        want = _cut(_naive_eval(P, y[: n + 1]), n)
+        assert eval_at_series(P, series, n).coefficients() == tuple(want)
+
+
+def test_terms_past_the_cut_contribute_nothing():
+    P = BivarPoly({(5, 1): 7, (9, 0): 3, (0, 1): 1})
+    assert eval_at_poly(P, [F(1), F(2)], 2) == [F(0), F(1), F(2)]
+    assert eval_at_poly(P, [F(1), F(2)], 0) == []
+    y = TruncatedSeries([1, 1, 1], start=0)
+    out = eval_at_series(BivarPoly({(4, 1): 1, (0, 1): 1}), y, 2)
+    assert out.coefficients() == (1, 1, 1)
+    with pytest.raises(InputError):
+        eval_at_poly(P, [F(1)], -1)
 
 
 def test_substitute_tail_general_exponent():

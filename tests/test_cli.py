@@ -214,6 +214,39 @@ def test_budget_env_override(files, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "1e5", "0x10"])
+def test_malformed_budget_env_exits_two(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("ALGSERIES_BUDGET", value)
+    code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", files["seed"],
+                             "--count", "3", "--method", "closed"])
+    assert code == 2
+    assert obj == {"error": "InputError",
+                   "detail": f"ALGSERIES_BUDGET must be an integer, got {value!r}"}
+
+
+@pytest.mark.parametrize("argv, payload_code", [
+    (["selftest"], 0),
+    (["expand", "--poly", "missing.json", "--seed", "missing.json", "--count", "3"], 2),
+    (["certify", "--poly", "{poly}", "--series", "{root}", "--dx", "1", "--dy", "1"], 2),
+])
+def test_unwritable_output_exits_two(files, capsys, argv, payload_code):
+    # a handler that succeeds (selftest) or fails (missing input, degrees
+    # above the bounds) still yields one JSON InputError when --output
+    # cannot be written
+    argv = [a.format(**files) for a in argv]
+    target = files["dir"] / "no such dir" / "x.json"
+    code, obj = run(capsys, argv + ["-o", str(target)])
+    assert code == 2
+    assert obj["error"] == "InputError"
+    assert obj["detail"].startswith("cannot write --output:")
+    assert not target.parent.exists()
+    # the same call with a writable path gives the handler's own exit code
+    good = files["dir"] / "x.json"
+    assert main(argv + ["-o", str(good)]) == payload_code
+    assert json.loads(good.read_text())
+    assert capsys.readouterr().out == ""
+
+
 def test_output_file_option(files, capsys):
     out = files["dir"] / "result.json"
     code = main(["certify", "--poly", files["poly"], "--series", files["root"],

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algseries import InputError, PrecisionError, TruncatedSeries, series_div, series_pow
 
@@ -82,6 +84,20 @@ def test_arithmetic_precision_is_weakest():
     assert (a + b).precision == 2
     assert (a * b).precision == 2
     assert (a * b).coefficient(2) == 1  # only x*x lands below the cutoff
+
+
+_COEFFS = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                   min_size=1, max_size=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_COEFFS, b=_COEFFS)
+def test_product_matches_double_sum(a, b):
+    prod = TruncatedSeries(a, start=0) * TruncatedSeries(b, start=0)
+    t = min(len(a), len(b)) - 1
+    assert prod.precision == t
+    for n in range(t + 1):
+        assert prod.coefficient(n) == sum((a[i] * b[n - i] for i in range(n + 1)), F(0))
 
 
 def test_results_are_canonical_fractions():
