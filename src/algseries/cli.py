@@ -27,7 +27,8 @@ from .errors import (BudgetError, InputError, LiftError, NotAlgebraicError,
                      NotSimpleRootError, PrecisionError)
 from .flajolet_soria import (DEFAULT_NODE_BUDGET, EnumerationBudget,
                              closed_form_coefficient, fs_coefficient)
-from .henselization import branch_data, coefficient_after_branch, henselize, order_sequence
+from .henselization import (branch_data, coefficient_after_branch, henselize, leaves_branch,
+                            order_sequence)
 from .newton import newton_lift
 from .serialize import (dumps, load_json, poly_from_obj, poly_to_obj, rat_to_str,
                         series_from_obj, series_to_obj, shape_from_obj)
@@ -69,20 +70,14 @@ def _emit(args, payload: dict) -> None:
 def _seed_for_expansion(P: BivarPoly, seed: TruncatedSeries):
     """Ensure the seed reaches one coefficient past the branch index,
     extending it by the uniquely determined next coefficient if it stops
-    exactly at the branch point, and reject seeds whose order sequence is
-    not that of a simple root."""
+    exactly at the branch point, and reject seeds that leave the branch."""
     bd = branch_data(P, seed)
     coeffs = list(seed.one_based())
     if len(coeffs) == bd.k0 + 1:
         coeffs.append(coefficient_after_branch(P, seed, bd.k0, bd.i_k0, bd.omega0))
-    trace = order_sequence(P, TruncatedSeries(coeffs), len(coeffs))
-    if trace.failure_at is not None:
-        raise NotSimpleRootError(
-            f"seed is not the prefix of any root (order stalled at k={trace.failure_at})"
-        )
-    for k in range(bd.k0, len(coeffs)):
-        if trace.order_at(k + 1) != trace.order_at(k) + 1:
-            raise NotSimpleRootError(f"order step at k={k} is not 1: seed leaves the branch")
+    wrong = leaves_branch(P, coeffs, bd)
+    if wrong is not None:
+        raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
     return bd, coeffs
 
 
@@ -136,7 +131,16 @@ def _cmd_expand(args) -> tuple[dict, int]:
 
 def _cmd_implicitize(args) -> tuple[dict, int]:
     series = series_from_obj(load_json(args.series))
-    shape = shape_from_obj(load_json(args.shape)) if args.shape else full_support(args.dx, args.dy)
+    if args.shape:
+        shape = shape_from_obj(load_json(args.shape))
+    else:  # check bounds and precision before building the dx*dy grid
+        if args.dx < 1 or args.dy < 1:
+            raise InputError("degree bounds must be at least 1")
+        depth = 2 * args.dx * args.dy
+        if series.precision < depth + args.dx:
+            raise PrecisionError(f"need {depth + args.dx} coefficients for a depth-{depth} "
+                                 f"slab, have {series.precision}")
+        shape = full_support(args.dx, args.dy)
     try:
         result = reconstruct(shape, series, args.dx, args.dy)
     except NotAlgebraicError as exc:
@@ -158,7 +162,7 @@ def _cmd_henselize(args) -> tuple[dict, int]:
         return {"polynomial_root": True,
                 "z": [rat_to_str(c) for c in form.polynomial_root]}, EXIT_OK
     payload = {
-        "k0": branch_data(P, seed).k0,
+        "k0": form.k0,
         "i_k": form.i_k,
         "omega0": rat_to_str(form.omega0),
         "b": [{"l": l, "m": m, "c": rat_to_str(c)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bivar import BivarPoly, eval_at_poly, substitute_shift, substitute_tail
+from .bivar import BivarPoly, eval_at_poly, substitute_shift, substitute_tail, uni_order
 from .errors import InputError, NotSimpleRootError, PrecisionError
 from .flajolet_soria import ReducedHenselEq, multinomial, weighted_compositions
 from .series import TruncatedSeries, _frac
@@ -59,6 +59,7 @@ class HenselForm:
     the discovery that z_{k+1} is itself an exact polynomial root."""
 
     k: int
+    k0: int | None = None
     i_k: int | None = None
     omega0: Fraction | None = None
     eq: ReducedHenselEq | None = None
@@ -146,6 +147,20 @@ def branch_data(P: BivarPoly, c: TruncatedSeries, max_scan: int | None = None) -
     )
 
 
+def leaves_branch(P: BivarPoly, z, bd: BranchData) -> int | None:
+    """Index m of the first coefficient of z = c_1..c_s off the branch of
+    ``bd``, or None when z is the root's truncation.
+
+    Newton's lemma: past k0, P(x, z_k + x^(k+1) y) has order i_k0 + k - k0
+    and lowest coefficient omega0 (y - c_{k+1}), so with e = i_k0 - k0 - 1
+    ord P(x, z) = m + e at the first wrong c_m, and exceeds s + e if none.
+    Requires s >= k0 + 1, c_1..c_{k0+1} being the prefix ``bd`` came from.
+    """
+    e = bd.i_k0 - bd.k0 - 1
+    order = uni_order(eval_at_poly(P, z, len(z) + e))
+    return None if order is None else order - e
+
+
 def find_k0(P: BivarPoly, c: TruncatedSeries) -> int:
     """Branch-separation index: least k with i_{k+1} = i_k + 1."""
     return branch_data(P, c).k0
@@ -224,20 +239,10 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     if not eval_at_poly(P, z):
         return HenselForm(k=k, polynomial_root=tuple(z))
     bd = branch_data(P, c, max_scan=k - 1)
-    shifted = substitute_tail(P, z, k + 1)  # P_k(x, y + c_{k+1})
-    i_k = shifted.x_order
-    expected = bd.i_k0 + (k - bd.k0)
-    if i_k != expected:
-        raise NotSimpleRootError(
-            f"order at k={k} is {i_k}, expected {expected}: seed leaves the branch"
-        )
-    if shifted.coefficient(i_k, 0):
-        raise NotSimpleRootError(f"c_{k + 1} does not continue the root")
-    omega0 = shifted.coefficient(i_k, 1)
-    if omega0 != bd.omega0 or any(
-        shifted.coefficient(i_k, m) for m in range(2, P.y_degree + 1)
-    ):
-        raise NotSimpleRootError("shifted polynomial is not in Hensel form")
+    wrong = leaves_branch(P, z, bd)
+    if wrong is not None:
+        raise NotSimpleRootError(f"c_{wrong} does not continue the root")
+    i_k = bd.i_k0 + (k - bd.k0)
 
     dx, dy = P.x_degree, P.y_degree
     support = sorted(P.terms.items())
@@ -253,5 +258,5 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
                     if power:
                         acc += a * comb(j, m) * power
             if acc:
-                terms[(l, m)] = -acc / omega0
-    return HenselForm(k=k, i_k=i_k, omega0=omega0, eq=ReducedHenselEq(terms))
+                terms[(l, m)] = -acc / bd.omega0
+    return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=ReducedHenselEq(terms))

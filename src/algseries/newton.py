@@ -16,31 +16,31 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .bivar import BivarPoly, eval_at_poly, eval_at_series, uni_order
+from .bivar import BivarPoly, eval_at_poly, eval_at_series
 from .errors import InputError, LiftError, NotSimpleRootError, PrecisionError
 from .flajolet_soria import ReducedHenselEq
-from .henselization import branch_data, order_sequence
+from .henselization import branch_data, leaves_branch
+from .henselization import order_sequence  # unused; bound because bench/tracing.py wraps it
 from .series import TruncatedSeries, _frac, series_div
 
 
 @dataclass(frozen=True)
 class LiftReport:
-    """A lifted root prefix: P(x, series) vanishes past the precision.
-    ``residual_ord`` is None when the residual is exactly zero."""
+    """A lifted root prefix, every coefficient certified by ``leaves_branch``."""
 
     series: TruncatedSeries
     iterations: int
-    residual_ord: int | None
 
 
 def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     """Extend a root prefix c_1..c_s to the stated precision.
 
     The seed must isolate the branch: it has to reach at least two places
-    past the branch-separation index, and its order sequence must look like
-    a simple root's.  Coefficients are grown one at a time until the
-    quadratic regime is reached, then by Newton steps whose precision
-    doubles, discounted by the order of dP/dy along the root.
+    past the branch-separation index, and no coefficient of it may leave
+    the branch (``leaves_branch``, which also certifies every coefficient
+    returned).  Coefficients are grown one at a time until the quadratic
+    regime is reached, then by Newton steps whose precision doubles,
+    discounted by the order of dP/dy along the root.
     """
     cs = [_frac(v) for v in seed]
     if not cs or not cs[0]:
@@ -48,23 +48,16 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     if precision < len(cs):
         raise InputError("target precision below the seed length")
     s = len(cs)
-    series_seed = TruncatedSeries(cs, precision=s, start=1)
-    trace = order_sequence(P, series_seed, s)
-    if trace.failure_at is not None:
-        raise LiftError(
-            f"seed is not the prefix of any root (order stalled at k={trace.failure_at})"
-        )
     try:
-        bd = branch_data(P, series_seed)
+        bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
     except (NotSimpleRootError, PrecisionError) as exc:
         raise LiftError(f"seed does not isolate a simple root: {exc}") from exc
     if s < bd.k0 + 2:
         raise LiftError(f"seed length {s} below k0 + 2 = {bd.k0 + 2}")
-    for k in range(bd.k0, s):
-        if trace.order_at(k + 1) != trace.order_at(k) + 1:
-            raise LiftError(f"order step at k={k} is not 1: not a simple root")
+    wrong = leaves_branch(P, cs, bd)
+    if wrong is not None:
+        raise LiftError(f"seed is not the prefix of a root: c_{wrong} leaves the branch")
     e = bd.i_k0 - bd.k0 - 1
-    omega0 = bd.omega0
     deriv = P.partial_y()
 
     t = s
@@ -88,18 +81,16 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
             i_t = bd.i_k0 + (t - bd.k0)
             u = eval_at_poly(P, cs, i_t)
             coeff = u[i_t] if i_t < len(u) else Fraction(0)
-            cs.append(-coeff / omega0)
+            cs.append(-coeff / bd.omega0)
             t += 1
         iterations += 1
 
-    residual = eval_at_poly(P, cs)  # exact: residual_ord promises the true order
-    residual_ord = uni_order(residual)
-    if residual_ord is not None and residual_ord <= precision:
-        raise LiftError(f"lift residual has order {residual_ord} <= {precision}")
     if cs[: len(seed)] != [_frac(v) for v in seed]:
         raise LiftError("lift lost seed coefficients")
-    return LiftReport(TruncatedSeries(cs, precision=precision, start=1),
-                      iterations, residual_ord)
+    wrong = leaves_branch(P, cs, bd)
+    if wrong is not None:
+        raise LiftError(f"lifted coefficient c_{wrong} leaves the branch")
+    return LiftReport(TruncatedSeries(cs, precision=precision, start=1), iterations)
 
 
 def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:

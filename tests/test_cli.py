@@ -92,6 +92,21 @@ def test_implicitize_negative(files, capsys):
     assert obj["result"] == "not-algebraic-at-bounds"
 
 
+def test_implicitize_checks_precision_before_the_grid(files, capsys, monkeypatch):
+    def no_grid(dx, dy):
+        raise AssertionError(f"full_support({dx}, {dy}) was built")
+
+    monkeypatch.setattr(cli, "full_support", no_grid)
+    short = files["dir"] / "short.json"
+    short.write_text(dumps({"coefficients": ["1", "1"], "precision": 2}))
+    code, obj = run(capsys, ["implicitize", "--series", str(short), "--dx", "50", "--dy", "50"])
+    assert code == 2
+    assert obj == {"error": "PrecisionError",
+                   "detail": "need 5050 coefficients for a depth-5000 slab, have 2"}
+    code, obj = run(capsys, ["implicitize", "--series", str(short), "--dx", "0", "--dy", "50"])
+    assert code == 2 and obj["error"] == "InputError"
+
+
 def test_henselize_command(files, capsys):
     seed2 = files["dir"] / "seed2.json"
     seed2.write_text(dumps({"coefficients": ["1", "1"], "precision": 2}))

@@ -10,7 +10,7 @@ from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError
                        eval_at_poly, find_k0, henselize, newton_lift,
                        omega0_closed, order_sequence, series_pow, substitute_tail,
                        uni_order)
-from algseries.henselization import _power_coefficient
+from algseries.henselization import _power_coefficient, leaves_branch
 from conftest import E4_POLY, henselian_instance, liftable_instances, nonzero_rational
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
@@ -126,7 +126,7 @@ def test_coefficient_after_branch_matches_oracle():
 
 def test_henselize_e4_fixture_numeric():
     form = henselize(E4_POLY, TruncatedSeries([1, 1]), 1)
-    assert form.i_k == 3 and form.omega0 == 2
+    assert form.k0 == 0 and form.i_k == 3 and form.omega0 == 2
     assert form.eq.terms == {
         (1, 2): F(-1, 2), (2, 0): F(-1), (2, 1): F(-1),
         (3, 0): F(-1, 2), (3, 1): F(-1), (3, 2): F(-1, 2),
@@ -220,3 +220,20 @@ def test_order_steps_are_unit_past_k0():
         orders = dict(trace.entries)
         for k in range(bd.k0, bd.k0 + 8):
             assert orders[k + 1] == orders[k] + 1
+
+
+def test_leaves_branch_agrees_with_order_sequence():
+    # Newton's lemma against the literal definition: the first wrong c_m
+    # is where the order sequence first fails to step by one
+    rng = random.Random(27)
+    tangent = [1, 0, 0, 0, 1, 0]   # k0 = 4, e = 5
+    cases = [(TANGENT, tangent, branch_data(TANGENT, TruncatedSeries(tangent)))]
+    for P, seed, bd in liftable_instances(rng, 40) + cases:
+        root = list(newton_lift(P, seed, bd.k0 + 12).series.one_based())
+        assert leaves_branch(P, root, bd) is None
+        for m in range(bd.k0 + 2, bd.k0 + 13):
+            z = list(root)
+            z[m - 1] += nonzero_rational(rng)
+            orders = dict(order_sequence(P, TruncatedSeries(z), len(z)).entries)
+            step = next(k + 1 for k in range(bd.k0, len(z)) if orders[k + 1] != orders[k] + 1)
+            assert leaves_branch(P, z, bd) == step == m

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from algseries import (BivarPoly, InputError, LiftError, ReducedHenselEq,
+from algseries import (BivarPoly, InputError, LiftError, ReducedHenselEq, TruncatedSeries,
                        bareiss_det, eval_at_poly,
                        fixed_point_expand, newton_lift, uni_order)
+from algseries import henselization, newton
 from algseries.wilczynski import _eliminate
 from conftest import E4_POLY, extended_seed, liftable_instances, rational
 
@@ -17,7 +18,8 @@ def test_lift_e4_fixture():
     assert report.series.one_based()[:5] == (1, 1, 0, -1, F(-1, 2))
     # continuation frozen from this oracle, guarded by the residual check
     assert report.series.one_based()[5:] == (1, 1, -1, F(-13, 8), 1)
-    assert report.residual_ord is None or report.residual_ord > 10
+    # e = 1 here, so the residual must vanish past the cut T + e = 11
+    assert not eval_at_poly(E4_POLY, list(report.series.one_based()), 11)
 
 
 def test_lift_catalan_root():
@@ -29,7 +31,7 @@ def test_lift_polynomial_root():
     linear = BivarPoly({(0, 1): 1, (1, 0): -1})
     report = newton_lift(linear, [1, 0], 5)
     assert report.series.one_based() == (1, 0, 0, 0, 0)
-    assert report.residual_ord is None
+    assert not eval_at_poly(linear, list(report.series.one_based()))
 
 
 def test_lift_extends_one_coefficient_seeds():
@@ -63,6 +65,41 @@ def test_lift_residuals():
         report = newton_lift(P, seed, 12)
         residual = eval_at_poly(P, list(report.series.one_based()))
         assert uni_order(residual) is None or uni_order(residual) > 12
+
+
+def test_lift_rejects_wrong_last_coefficient(monkeypatch):
+    # with e = 1 a wrong c_10 leaves P(x, z) of order 11 > 10, so the
+    # certificate has to reach T + e to see it
+    exact = newton.series_div
+
+    def off_at_top(u, v, n):
+        q = exact(u, v, n)
+        return TruncatedSeries(list(q.one_based()[:-1]) + [q.coefficient(n) + 1], precision=n)
+
+    monkeypatch.setattr(newton, "series_div", off_at_top)
+    with pytest.raises(LiftError, match="c_10"):
+        newton_lift(E4_POLY, [1, 1], 10)
+
+
+def test_lift_does_not_rescan_a_long_seed(monkeypatch):
+    # only branch_data's scan substitutes, and it stops at 2*dx*dy + 2 shifts
+    # however long the seed is
+    rng = random.Random(44)
+    instances = [(E4_POLY, [1, 1])] + [(P, seed) for P, seed, _ in liftable_instances(rng, 3)]
+    calls = []
+    shift = henselization.substitute_shift
+
+    def counted(*args):
+        calls.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(henselization, "substitute_shift", counted)
+    for P, seed in instances:
+        prefix = list(newton_lift(P, seed, 64).series.one_based())
+        calls.clear()
+        report = newton_lift(P, prefix, 70)
+        assert report.series.one_based()[:64] == tuple(prefix)
+        assert len(calls) <= 2 * P.x_degree * P.y_degree + 3
 
 
 def test_lift_idempotence():
