@@ -15,8 +15,8 @@ from .flajolet_soria import (CompositionVector, EnumerationBudget, ReducedHensel
                              closed_form_coefficient, compositions, e_coefficient,
                              fs_coefficient, fs_expand, weighted_compositions)
 from .henselization import (BranchData, HenselForm, OrderTrace, branch_data,
-                            coefficient_after_branch, find_k0, henselize,
-                            omega0_closed, order_sequence)
+                            coefficient_after_branch, henselize, omega0_closed,
+                            order_sequence)
 from .newton import LiftReport, bareiss_det, fixed_point_expand, newton_lift
 from .series import TruncatedSeries, series_div, series_pow
 from .support import (PuiseuxMeta, SupportShape, antilex_key, full_support,
@@ -36,7 +36,7 @@ __all__ = [
     "WilczynskiSlab", "antilex_key", "bareiss_det", "branch_data", "build_slab",
     "certify", "closed_form_coefficient", "coefficient_after_branch",
     "compositions", "e_coefficient", "eval_at_poly", "eval_at_series",
-    "find_k0", "fixed_point_expand", "fs_coefficient", "fs_expand",
+    "fixed_point_expand", "fs_coefficient", "fs_expand",
     "full_support", "henselize", "is_algebraic_rel", "newton_lift",
     "omega0_closed", "order_sequence", "puiseux_support_constraints",
     "reconstruct", "series_div", "series_pow", "shift_substitute",

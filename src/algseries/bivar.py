@@ -177,17 +177,15 @@ def substitute_tail(P: BivarPoly, z: Sequence, e: int) -> BivarPoly:
     return BivarPoly(out)
 
 
-def substitute_shift(P: BivarPoly, a, e: int = 1) -> BivarPoly:
-    """Exact expansion of P(x, a + x^e * y) for a constant a."""
-    if e < 1:
-        raise InputError("substitution exponent must be at least 1")
+def substitute_shift(P: BivarPoly, a) -> BivarPoly:
+    """Exact expansion of P(x, a + x * y) for a constant a."""
     shift = _frac(a)
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), coeff in P._terms.items():
         for m in range(j + 1):
             value = coeff * comb(j, m) * shift ** (j - m)
             if value:
-                key = (i + e * m, m)
+                key = (i + m, m)
                 out[key] = out.get(key, Fraction(0)) + value
     return BivarPoly(out)
 

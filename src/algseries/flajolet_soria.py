@@ -30,7 +30,7 @@ from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from .bivar import BivarPoly
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .series import TruncatedSeries, _frac
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -46,8 +46,6 @@ class EnumerationBudget:
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            from .errors import BudgetError
-
             raise BudgetError(f"enumeration exceeded {self.limit} nodes")
 
 
@@ -187,21 +185,20 @@ def compositions(Q: ReducedHenselEq, n: int, size_cap: int,
         stack.append((idx + 1, rem_n, size, y_weight, chosen))
 
 
-def fs_coefficient(Q: ReducedHenselEq, n: int, *, apply_support_cap: bool = False,
+def fs_coefficient(Q: ReducedHenselEq, n: int, *,
                    budget: EnumerationBudget | None = None) -> Fraction:
     """Coefficient of x^n in the unique solution of y = Q(x, y).
 
     Sums (1/m) * m!/prod(k!) * prod(coeff^k) over all exponent vectors k
     with x-weight n and y-weight |k| - 1, the size m = |k| running up to
-    2n - 1.  With ``apply_support_cap`` the outer bound tightens to m <= n,
-    which is valid exactly when no term of Q is free of x; the flag is
-    ignored otherwise.
+    2n - 1.  When no term of Q is free of x the size is at most the
+    x-weight, so the bound tightens to m <= n; every Hensel form is such.
     """
     if n < 1:
         raise InputError("coefficient index must be at least 1")
     if budget is None:
         budget = EnumerationBudget()
-    cap = n if (apply_support_cap and Q.no_pure_x_powers) else 2 * n - 1
+    cap = n if Q.no_pure_x_powers else 2 * n - 1
     coeffs = Q.terms
     total = Fraction(0)
     for vec in compositions(Q, n, cap, budget):

@@ -104,7 +104,7 @@ def order_sequence(P: BivarPoly, c: TruncatedSeries, k_max: int) -> OrderTrace:
     return OrderTrace(tuple(entries), stable_from, failure_at)
 
 
-def branch_data(P: BivarPoly, c: TruncatedSeries, max_scan: int | None = None) -> BranchData:
+def branch_data(P: BivarPoly, c: TruncatedSeries) -> BranchData:
     """Scan for the least k with i_{k+1} = i_k + 1 and a nonzero linear
     coefficient at the new order.
 
@@ -115,10 +115,9 @@ def branch_data(P: BivarPoly, c: TruncatedSeries, max_scan: int | None = None) -
     """
     _validate_inputs(P, c)
     bound = 2 * P.x_degree * P.y_degree + 1
-    limit = bound if max_scan is None else min(bound, max_scan)
     current = substitute_tail(P, (), 1)
     i_prev = current.x_order
-    for k in range(0, limit + 1):
+    for k in range(0, bound + 1):
         if k + 1 > c.precision:
             raise PrecisionError(
                 f"branch scan needs coefficient c_{k + 1} beyond precision {c.precision}"
@@ -135,15 +134,12 @@ def branch_data(P: BivarPoly, c: TruncatedSeries, max_scan: int | None = None) -
             if omega0:
                 return BranchData(k0=k, i_k0=i_prev, omega0=omega0)
         i_prev = i_next
-    if max_scan is not None and limit == max_scan and max_scan < bound:
-        raise InputError(f"no branch separation at k <= {max_scan}")
-    if c.precision >= 2 * P.x_degree * P.y_degree + 3:
+    if c.precision >= bound + 2:
         raise NotSimpleRootError(
             f"no index k <= {bound} with a unit order step: not a simple root"
         )
     raise PrecisionError(
-        f"need {2 * P.x_degree * P.y_degree + 3} coefficients to rule out "
-        "branch separation within the bound"
+        f"need {bound + 2} coefficients to rule out branch separation within the bound"
     )
 
 
@@ -159,11 +155,6 @@ def leaves_branch(P: BivarPoly, z, bd: BranchData) -> int | None:
     e = bd.i_k0 - bd.k0 - 1
     order = uni_order(eval_at_poly(P, z, len(z) + e))
     return None if order is None else order - e
-
-
-def find_k0(P: BivarPoly, c: TruncatedSeries) -> int:
-    """Branch-separation index: least k with i_{k+1} = i_k + 1."""
-    return branch_data(P, c).k0
 
 
 def _power_coefficient(seed, n: int, w: int):
@@ -223,8 +214,9 @@ def coefficient_after_branch(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: in
 def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     """Reduce P at the prefix z_{k+1} to the tail's Henselian equation.
 
-    Requires k strictly past the branch-separation index and k + 1 seed
-    coefficients.  When z_{k+1} is an exact root of P that polynomial is
+    Requires k + 1 seed coefficients, and k strictly past the
+    branch-separation index of z_{k+1} = c_1..c_{k+1}, which is all of the
+    seed that is read.  When z_{k+1} is an exact root of P that polynomial is
     returned instead of an equation.  Otherwise the table b_{l,m} of
     Q_k(x, y) = sum b_{l,m} x^l y^m is produced from the multinomial
     formula, with l running to (k+1)*dy + dx - i_k and m capped by
@@ -238,7 +230,12 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     z = [c.coefficient(n) for n in range(1, k + 2)]
     if not eval_at_poly(P, z):
         return HenselForm(k=k, polynomial_root=tuple(z))
-    bd = branch_data(P, c, max_scan=k - 1)
+    try:
+        bd = branch_data(P, TruncatedSeries(z))
+    except PrecisionError:  # the branch does not separate within z
+        bd = None
+    if bd is None or bd.k0 >= k:
+        raise InputError(f"no branch separation at k <= {k - 1}")
     wrong = leaves_branch(P, z, bd)
     if wrong is not None:
         raise NotSimpleRootError(f"c_{wrong} does not continue the root")

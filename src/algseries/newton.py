@@ -38,9 +38,10 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     The seed must isolate the branch: it has to reach at least two places
     past the branch-separation index, and no coefficient of it may leave
     the branch (``leaves_branch``, which also certifies every coefficient
-    returned).  Coefficients are grown one at a time until the quadratic
-    regime is reached, then by Newton steps whose precision doubles,
-    discounted by the order of dP/dy along the root.
+    returned).  Every step is y <- y - P(x, y) / (dP/dy)(x, y) on the
+    prefix z_t = c_1..c_t.  dP/dy has order e = i_k0 - k0 - 1 there, so
+    the step is exact to at least 2t - e; while t <= e only its first new
+    coefficient, -[x^(t+1+e)] P(x, z_t) / [x^e] (dP/dy)(x, z_t), is kept.
     """
     cs = [_frac(v) for v in seed]
     if not cs or not cs[0]:
@@ -63,26 +64,17 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     t = s
     iterations = 0
     while t < precision:
-        if t > e:
-            target = min(2 * t - e, precision)
-            work = target + e
-            u = TruncatedSeries(eval_at_poly(P, cs, work), precision=work, start=0)
-            v = TruncatedSeries(eval_at_poly(deriv, cs, work), precision=work, start=0)
-            if v.valuation != e:
-                raise LiftError(
-                    f"order of dP/dy at the prefix is {v.valuation}, expected {e}"
-                )
-            q = series_div(u, v, target)
-            cs.extend([Fraction(0)] * (target - t))
-            for n in range(1, target + 1):
-                cs[n - 1] -= q.coefficient(n)
-            t = target
-        else:
-            i_t = bd.i_k0 + (t - bd.k0)
-            u = eval_at_poly(P, cs, i_t)
-            coeff = u[i_t] if i_t < len(u) else Fraction(0)
-            cs.append(-coeff / bd.omega0)
-            t += 1
+        target = min(max(2 * t - e, t + 1), precision)
+        work = target + e
+        u = TruncatedSeries(eval_at_poly(P, cs, work), precision=work, start=0)
+        v = TruncatedSeries(eval_at_poly(deriv, cs, work), precision=work, start=0)
+        if v.valuation != e:
+            raise LiftError(f"order of dP/dy at the prefix is {v.valuation}, expected {e}")
+        q = series_div(u, v, target)
+        cs.extend([Fraction(0)] * (target - t))
+        for n in range(1, target + 1):
+            cs[n - 1] -= q.coefficient(n)
+        t = target
         iterations += 1
 
     if cs[: len(seed)] != [_frac(v) for v in seed]:

@@ -15,8 +15,8 @@ import pytest
 
 from algseries import (MinorIndex, NotAlgebraicError, ReducedHenselEq,
                        TruncatedSeries, branch_data, build_slab, certify,
-                       closed_form_coefficient, eval_at_poly, fs_coefficient,
-                       fs_expand, henselize, newton_lift, order_sequence,
+                       closed_form_coefficient, eval_at_poly, fixed_point_expand,
+                       fs_coefficient, fs_expand, henselize, newton_lift, order_sequence,
                        reconstruct, uni_order, wilczynski_minor)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
@@ -141,9 +141,9 @@ def test_criterion_6_catalan():
     q = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
     plain = list(fs_expand(q, 6).one_based())
     assert plain == [1, 1, 2, 5, 14, 42]
-    capped = [fs_coefficient(q, n, apply_support_cap=True) for n in range(1, 7)]
-    assert capped == plain
-    _ok(6, "Catalan 1,1,2,5,14,42 exact; support-capped variant identical")
+    iterated = list(fixed_point_expand(q, 6).one_based())
+    assert iterated == plain
+    _ok(6, "Catalan 1,1,2,5,14,42 exact; fixed-point iteration identical")
 
 
 def test_criterion_7_denominator_property(batch):

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import pytest
 
@@ -188,6 +190,13 @@ def test_inconsistent_seed_exits_one(files, capsys):
     code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", str(bad),
                              "--count", "2", "--method", "closed"])
     assert code == 1 and obj["error"] == "NotSimpleRootError"
+    # (y - x)^2 has no simple root: the order stalls at c_2 of the seed
+    poly = files["dir"] / "double.json"
+    poly.write_text(dumps(poly_to_obj(BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1}))))
+    ones = files["dir"] / "ones.json"
+    ones.write_text(dumps({"coefficients": ["1", "1"], "precision": 2}))
+    code, obj = run(capsys, ["henselize", "--poly", str(poly), "--seed", str(ones), "--k", "1"])
+    assert code == 1 and obj["error"] == "NotSimpleRootError"
 
 
 def test_budget_exit_three(files, capsys):
@@ -208,6 +217,23 @@ def test_budget_exit_three_with_long_seed(files, capsys):
                              "--count", "3", "--method", "closed", "--budget", "50000"])
     assert code == 3
     assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 50000 nodes"}
+
+
+def test_budget_exit_three_after_a_reimport(files, capsys):
+    # the bench imports a fresh copy of the package for each set-up in one
+    # process; a budget overrun in the first copy must still exit 3
+    first = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "algseries"}
+    try:
+        for name in first:
+            del sys.modules[name]
+        importlib.import_module("algseries.cli")
+        code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", files["seed"],
+                                 "--count", "6", "--method", "closed", "--budget", "10"])
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "algseries"]:
+            del sys.modules[name]
+        sys.modules.update(first)
+    assert code == 3 and obj["error"] == "BudgetError"
 
 
 def test_internal_error_exit_four(capsys, monkeypatch):

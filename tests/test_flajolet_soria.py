@@ -11,7 +11,7 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        closed_form_coefficient, compositions, e_coefficient,
                        eval_at_series, fixed_point_expand, fs_coefficient,
                        fs_expand, henselize, newton_lift, weighted_compositions)
-from algseries.flajolet_soria import _slots
+from algseries.flajolet_soria import _slots, multinomial
 from conftest import E4_POLY, liftable_instances, nonzero_rational, rational
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
@@ -40,20 +40,40 @@ def test_fs_catalan():
     assert list(fs_expand(CATALAN_EQ, 6).one_based()) == [1, 1, 2, 5, 14, 42]
 
 
+def _fs_reference(Q, n, budget):
+    """The Flajolet-Soria sum over every size up to 2n - 1, uncapped."""
+    coeffs = Q.terms
+    total = F(0)
+    for vec in compositions(Q, n, 2 * n - 1, budget):
+        term = F(multinomial([e for _, e in vec.exponents]), vec.size)
+        for key, e in vec.exponents:
+            term *= coeffs[key] ** e
+        total += term
+    return total
+
+
 def test_fs_support_cap_gates_on_flag():
     # the m <= n truncation only applies when no term is free of x; here a
-    # pure y^2 term is present, so the capped call must not actually truncate
+    # pure y^2 term is present, so the enumeration is the full 2n - 1 one
+    expected = fixed_point_expand(CATALAN_EQ, 6)
     for n in range(1, 7):
-        assert fs_coefficient(CATALAN_EQ, n, apply_support_cap=True) == \
-            fs_coefficient(CATALAN_EQ, n)
+        capped, full = EnumerationBudget(), EnumerationBudget()
+        assert fs_coefficient(CATALAN_EQ, n, budget=capped) == \
+            _fs_reference(CATALAN_EQ, n, full) == expected.coefficient(n)
+        assert capped.used == full.used
 
 
 def test_fs_support_cap_consistent_on_hensel_equations():
+    # every term of a Hensel form carries x, so sizes stop at n: same sum,
+    # fewer nodes than the 2n - 1 enumeration
     form = henselize(E4_POLY, TruncatedSeries([1, 1]), 1)
     assert form.eq.no_pure_x_powers
+    expected = fixed_point_expand(form.eq, 6)
     for n in range(1, 7):
-        assert fs_coefficient(form.eq, n, apply_support_cap=True) == \
-            fs_coefficient(form.eq, n)
+        capped, full = EnumerationBudget(), EnumerationBudget()
+        assert fs_coefficient(form.eq, n, budget=capped) == \
+            _fs_reference(form.eq, n, full) == expected.coefficient(n)
+        assert capped.used < full.used if n >= 2 else capped.used == full.used
 
 
 def test_fs_matches_solution_shape_in_b():

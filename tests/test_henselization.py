@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError,
                        TruncatedSeries, branch_data, coefficient_after_branch,
-                       eval_at_poly, find_k0, henselize, newton_lift,
+                       eval_at_poly, henselize, newton_lift,
                        omega0_closed, order_sequence, series_pow, substitute_tail,
                        uni_order)
 from algseries.henselization import _power_coefficient, leaves_branch
@@ -40,18 +40,17 @@ def test_order_sequence_flags_inconsistent_seed():
 
 
 def test_find_k0_e4_fixture():
-    assert find_k0(E4_POLY, TruncatedSeries([1])) == 0
+    assert branch_data(E4_POLY, TruncatedSeries([1])).k0 == 0
 
 
 def test_find_k0_tangent_branches():
     seed = TruncatedSeries([1, 0, 0, 0, 1, 0, 0])
-    assert find_k0(TANGENT, seed) == 4
     bd = branch_data(TANGENT, seed)
-    assert bd.i_k0 == 10 and bd.omega0 == 1
+    assert bd.k0 == 4 and bd.i_k0 == 10 and bd.omega0 == 1
 
 
 def test_find_k0_linear():
-    assert find_k0(LINEAR, TruncatedSeries([1])) == 0
+    assert branch_data(LINEAR, TruncatedSeries([1])).k0 == 0
 
 
 def test_find_k0_double_root_rejected():
@@ -193,6 +192,11 @@ def test_henselize_preconditions():
     k01 = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1, (4, 0): -1, (4, 1): -1})
     with pytest.raises(InputError):
         henselize(k01, TruncatedSeries([1, 1]), 1)
+    # k = 1 is below k0 = 4 for (y - x - x^2 y)(y - x - x^3), whose roots
+    # share c_1..c_4: the branch does not separate within c_1, c_2
+    apart = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1, (2, 2): -1, (4, 0): 1, (5, 1): 1})
+    with pytest.raises(InputError, match="k <= 0"):
+        henselize(apart, TruncatedSeries([1, 0, 1, 0, 1]), 1)
     # but an exact polynomial root short-circuits even below k0
     form = henselize(TANGENT, TruncatedSeries([1, 0]), 1)
     assert form.polynomial_root == (F(1), F(0))
@@ -201,6 +205,11 @@ def test_henselize_preconditions():
 def test_henselize_rejects_wrong_continuation():
     with pytest.raises(NotSimpleRootError):
         henselize(E4_POLY, TruncatedSeries([1, 1, 5]), 2)
+    # (y - x)^2 never separates: the scan of z = c_1, c_2 sees i_2 = i_1 = 4,
+    # so no root of P extends the seed
+    double = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
+    with pytest.raises(NotSimpleRootError, match="k=2"):
+        henselize(double, TruncatedSeries([1, 1]), 1)
 
 
 def test_order_sequence_validation():

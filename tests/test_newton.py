@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from algseries import (BivarPoly, InputError, LiftError, ReducedHenselEq, TruncatedSeries,
-                       bareiss_det, eval_at_poly,
+                       bareiss_det, branch_data, eval_at_poly,
                        fixed_point_expand, newton_lift, uni_order)
 from algseries import henselization, newton
 from algseries.wilczynski import _eliminate
@@ -65,6 +65,28 @@ def test_lift_residuals():
         report = newton_lift(P, seed, 12)
         residual = eval_at_poly(P, list(report.series.one_based()))
         assert uni_order(residual) is None or uni_order(residual) > 12
+
+
+def test_lift_through_a_high_order_derivative():
+    # x^m P has P's root, and its dP/dy has order m more along it, so most
+    # of these lifts start at t <= e, where a step keeps only its first new
+    # coefficient.  A later step would mend a wrong one, so every target
+    # precision is lifted to on its own.
+    rng = random.Random(45)
+    cases = high = 0
+    for P, seed, _bd in liftable_instances(rng, 20):
+        root = newton_lift(P, seed, 12).series
+        for m in range(1, 5):
+            shifted = BivarPoly({(i + m, j): a for (i, j), a in P.terms.items()})
+            bd = branch_data(shifted, TruncatedSeries(seed))
+            e = bd.i_k0 - bd.k0 - 1
+            for T in range(len(seed) + 1, 13):
+                lifted = newton_lift(shifted, seed, T).series
+                assert lifted == root.truncate(T)
+                assert not eval_at_poly(shifted, list(lifted.one_based()), T + e)
+            cases += 1
+            high += e >= len(seed)
+    assert 2 * high >= cases
 
 
 def test_lift_rejects_wrong_last_coefficient(monkeypatch):
