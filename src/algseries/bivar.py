@@ -85,10 +85,6 @@ class BivarPoly:
                 out[(i, j - 1)] = c * j
         return BivarPoly(out)
 
-    def scale(self, factor) -> "BivarPoly":
-        f = _frac(factor)
-        return BivarPoly({k: f * c for k, c in self._terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented

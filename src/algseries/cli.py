@@ -67,10 +67,14 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _seed_for_expansion(P: BivarPoly, seed: TruncatedSeries):
-    """Ensure the seed reaches one coefficient past the branch index,
-    extending it by the uniquely determined next coefficient if it stops
-    exactly at the branch point, and reject seeds that leave the branch."""
+def _cmd_expand(args) -> tuple[dict, int]:
+    P = poly_from_obj(load_json(args.poly))
+    seed = series_from_obj(load_json(args.seed))
+    if args.count < 1:
+        raise InputError("count must be at least 1")
+    budget = _budget_from(args)
+    # a seed that stops exactly at the branch index gets its uniquely
+    # determined next coefficient from the closed formula
     bd = branch_data(P, seed)
     coeffs = list(seed.one_based())
     if len(coeffs) == bd.k0 + 1:
@@ -78,16 +82,6 @@ def _seed_for_expansion(P: BivarPoly, seed: TruncatedSeries):
     wrong = leaves_branch(P, coeffs, bd)
     if wrong is not None:
         raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
-    return bd, coeffs
-
-
-def _cmd_expand(args) -> tuple[dict, int]:
-    P = poly_from_obj(load_json(args.poly))
-    seed = series_from_obj(load_json(args.seed))
-    if args.count < 1:
-        raise InputError("count must be at least 1")
-    budget = _budget_from(args)
-    bd, coeffs = _seed_for_expansion(P, seed)
     k = len(coeffs) - 1
     i_k = bd.i_k0 + (k - bd.k0)
     base = TruncatedSeries(coeffs, precision=len(coeffs), start=1)
@@ -182,10 +176,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
 def _cmd_oracle(args) -> tuple[dict, int]:
     P = poly_from_obj(load_json(args.poly))
     seed = series_from_obj(load_json(args.seed))
-    _, coeffs = _seed_for_expansion(P, seed)
-    if args.count < len(coeffs):
-        raise InputError("count must reach past the seed")
-    report = newton_lift(P, coeffs, args.count)
+    report = newton_lift(P, seed.one_based(), args.count)
     return series_to_obj(report.series), EXIT_OK
 
 

@@ -18,7 +18,8 @@ class NotSimpleRootError(AlgSeriesError):
 
 
 class LiftError(AlgSeriesError):
-    """Newton lifting cannot proceed from the given seed."""
+    """A Newton lift failed its own checks: the order of dP/dy along the
+    prefix, the seed it kept, or the certificate of its output."""
 
 
 class NotAlgebraicError(AlgSeriesError):

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .bivar import BivarPoly, eval_at_poly, eval_at_series
-from .errors import InputError, LiftError, NotSimpleRootError, PrecisionError
+from .errors import InputError, LiftError, NotSimpleRootError
 from .flajolet_soria import ReducedHenselEq
 from .henselization import branch_data, leaves_branch
 from .henselization import order_sequence  # unused; bound because bench/tracing.py wraps it
@@ -35,36 +35,35 @@ class LiftReport:
 def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     """Extend a root prefix c_1..c_s to the stated precision.
 
-    The seed must isolate the branch: it has to reach at least two places
-    past the branch-separation index, and no coefficient of it may leave
-    the branch (``leaves_branch``, which also certifies every coefficient
-    returned).  Every step is y <- y - P(x, y) / (dP/dy)(x, y) on the
-    prefix z_t = c_1..c_t.  dP/dy has order e = i_k0 - k0 - 1 there, so
-    the step is exact to at least 2t - e; while t <= e only its first new
-    coefficient, -[x^(t+1+e)] P(x, z_t) / [x^e] (dP/dy)(x, z_t), is kept.
+    The seed needs only c_1..c_{k0+1}, the prefix the branch scan reads;
+    every coefficient of it must stay on the branch, and so must every
+    coefficient returned (``leaves_branch``, Newton's lemma).  A step
+    replaces the prefix z_t = c_1..c_t by z_t - P(x, z_t) / (dP/dy)(x, z_t)
+    cut at x^min(2t - k0, T): past k0 the lowest coefficient of
+    P(x, z_t + x^(t+1) y) is linear in y, so the step is exact through
+    2t - k0, which is at least t + 1.
+
+    Raises ``InputError`` for an invalid P or seed (c_1 = 0) and for a
+    target below the seed length, ``PrecisionError`` when the seed ends
+    before the branch separates, ``NotSimpleRootError`` when the seed
+    leaves the branch or P has no simple root there, and ``LiftError``
+    when the lift itself fails its order check or its final certificate.
     """
     cs = [_frac(v) for v in seed]
-    if not cs or not cs[0]:
-        raise LiftError("seed must start with c_1 != 0")
-    if precision < len(cs):
-        raise InputError("target precision below the seed length")
     s = len(cs)
-    try:
-        bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
-    except (NotSimpleRootError, PrecisionError) as exc:
-        raise LiftError(f"seed does not isolate a simple root: {exc}") from exc
-    if s < bd.k0 + 2:
-        raise LiftError(f"seed length {s} below k0 + 2 = {bd.k0 + 2}")
+    bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
     wrong = leaves_branch(P, cs, bd)
     if wrong is not None:
-        raise LiftError(f"seed is not the prefix of a root: c_{wrong} leaves the branch")
+        raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
+    if precision < s:
+        raise InputError("target precision below the seed length")
     e = bd.i_k0 - bd.k0 - 1
     deriv = P.partial_y()
 
     t = s
     iterations = 0
     while t < precision:
-        target = min(max(2 * t - e, t + 1), precision)
+        target = min(2 * t - bd.k0, precision)
         work = target + e
         u = TruncatedSeries(eval_at_poly(P, cs, work), precision=work, start=0)
         v = TruncatedSeries(eval_at_poly(deriv, cs, work), precision=work, start=0)

@@ -16,7 +16,13 @@ from .errors import InputError
 from .series import TruncatedSeries
 from .support import SupportShape
 
-_RAT = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+_RAT = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as bools, which are ints
+    to ``isinstance`` but not to the file formats."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def rat_to_str(value: Fraction) -> str:
@@ -31,7 +37,7 @@ def parse_rat(text: str) -> Fraction:
     written bare, no wasted characters."""
     if not isinstance(text, str):
         raise InputError(f"rational must be a string, got {type(text).__name__}")
-    m = _RAT.match(text)
+    m = _RAT.fullmatch(text)
     if not m:
         raise InputError(f"not a canonical rational: {text!r}")
     num = int(m.group(1))
@@ -64,7 +70,7 @@ def series_from_obj(obj: Any) -> TruncatedSeries:
         raise InputError("series needs a 'coefficients' array (index 1 first)")
     values = [parse_rat(c) for c in coeffs]
     precision = obj.get("precision", len(values))
-    if not isinstance(precision, int) or precision != len(values):
+    if not _is_int(precision) or precision != len(values):
         raise InputError("series 'precision' must equal the coefficient count")
     return TruncatedSeries(values, precision=precision, start=1)
 
@@ -89,7 +95,7 @@ def poly_from_obj(obj: Any) -> BivarPoly:
             i, j, c = entry["i"], entry["j"], entry["c"]
         except KeyError as missing:
             raise InputError(f"term missing field {missing}") from None
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise InputError(f"term exponents must be natural numbers: {entry}")
         value = parse_rat(c)
         if not value:
@@ -113,7 +119,7 @@ def shape_from_obj(obj: Any) -> SupportShape:
             raise InputError(f"shape field {name} must be an array of [i, j] pairs")
         out = []
         for p in raw:
-            if (not isinstance(p, list)) or len(p) != 2 or not all(isinstance(v, int) for v in p):
+            if (not isinstance(p, list)) or len(p) != 2 or not all(_is_int(v) for v in p):
                 raise InputError(f"shape entry {p!r} is not an [i, j] pair")
             out.append((p[0], p[1]))
         return tuple(out)

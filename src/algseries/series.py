@@ -117,9 +117,6 @@ class TruncatedSeries:
 
     # -- exact arithmetic; the result precision is the weaker of the operands
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._from_dense([-c for c in self._c])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -127,18 +124,6 @@ class TruncatedSeries:
         return TruncatedSeries._from_dense(
             [self._c[n] + other._c[n] for n in range(t + 1)]
         )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self._precision, other._precision)
-        return TruncatedSeries._from_dense(
-            [self._c[n] - other._c[n] for n in range(t + 1)]
-        )
-
-    def scale(self, factor) -> "TruncatedSeries":
-        f = _frac(factor)
-        return TruncatedSeries._from_dense([f * c for c in self._c])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):

@@ -89,7 +89,6 @@ class WilczynskiSlab:
     row_labels: tuple[int, ...]
     entries: tuple[tuple[Fraction, ...], ...]
     depth: int
-    source_precision: int
     powers: tuple[TruncatedSeries, ...]
 
 
@@ -132,7 +131,7 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
         tuple(powers[j].coefficient(label - i) for (i, j) in shape.F)
         for label in labels
     )
-    return WilczynskiSlab(shape, tuple(labels), entries, depth, c.precision, tuple(powers))
+    return WilczynskiSlab(shape, tuple(labels), entries, depth, tuple(powers))
 
 
 def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:

@@ -11,6 +11,9 @@ from algseries import (BivarPoly, SupportShape, TruncatedSeries, branch_data,
 # P = y^2 + x^2 y^2 - 2 x^2 y - x^2, simple root starting 1, 1, 0, -1, -1/2, ...
 E4_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 1): -2, (2, 2): 1})
 
+# (y - x)(y - x - x^5): simple roots sharing four coefficients, so k0 = 4
+TANGENT = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1, (5, 1): -1, (6, 0): 1})
+
 E3_SHAPE = SupportShape(F=((2, 1), (0, 2), (2, 2)), G=((2, 0),))
 
 E3_RECONSTRUCTED = BivarPoly({(2, 0): -1, (2, 1): -2, (0, 2): 1, (2, 2): 1})

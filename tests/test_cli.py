@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from algseries import BivarPoly, cli, newton_lift
+from algseries import BivarPoly, cli, newton, newton_lift
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
 from conftest import E4_POLY
@@ -62,6 +62,44 @@ def test_oracle_emits_series_file(files, capsys):
     assert code == 0
     assert obj["precision"] == 10
     assert obj["coefficients"][:5] == ["1", "1", "0", "-1", "-1/2"]
+
+
+def test_oracle_scans_the_branch_once(files, capsys, monkeypatch):
+    # newton_lift reads the bare c_1 itself: one scan, and no closed-form
+    # extension of the seed
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module in (cli, newton):
+        monkeypatch.setattr(module, "branch_data", counted("scan", module.branch_data))
+    monkeypatch.setattr(cli, "coefficient_after_branch",
+                        counted("extend", cli.coefficient_after_branch))
+    code, obj = run(capsys, ["oracle", "--poly", files["poly"], "--seed", files["seed"],
+                             "--count", "10"])
+    assert code == 0 and calls == ["scan"]
+    # a count equal to the seed length returns the seed
+    code, obj = run(capsys, ["oracle", "--poly", files["poly"], "--seed", files["seed"],
+                             "--count", "1"])
+    assert code == 0 and obj == {"coefficients": ["1"], "precision": 1}
+
+
+def test_boolean_and_newline_inputs_exit_two(files, capsys):
+    # JSON true loads as a bool, which isinstance treats as the int 1
+    seed = files["dir"] / "boolseed.json"
+    seed.write_text('{"coefficients": ["1"], "precision": true}')
+    poly = files["dir"] / "boolpoly.json"
+    poly.write_text('{"terms": [{"i": 0, "j": 1, "c": "1"}, {"i": true, "j": 0, "c": "-1"}]}')
+    newline = files["dir"] / "newline.json"
+    newline.write_text(dumps({"coefficients": ["1\n"], "precision": 1}))
+    for P, z in ((files["poly"], seed), (poly, files["seed"]), (files["poly"], newline)):
+        code, obj = run(capsys, ["oracle", "--poly", str(P), "--seed", str(z),
+                                 "--count", "4"])
+        assert code == 2 and obj["error"] == "InputError"
 
 
 def test_implicitize_round_trip(files, capsys):

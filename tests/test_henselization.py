@@ -11,12 +11,10 @@ from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError
                        omega0_closed, order_sequence, series_pow, substitute_tail,
                        uni_order)
 from algseries.henselization import _power_coefficient, leaves_branch
-from conftest import E4_POLY, henselian_instance, liftable_instances, nonzero_rational
+from conftest import (E4_POLY, TANGENT, henselian_instance, liftable_instances,
+                      nonzero_rational)
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
-
-# (y - x)(y - x - x^5): simple roots sharing four coefficients
-TANGENT = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1, (5, 1): -1, (6, 0): 1})
 
 
 def test_order_sequence_e4_fixture():

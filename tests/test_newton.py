@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from algseries import (BivarPoly, InputError, LiftError, ReducedHenselEq, TruncatedSeries,
-                       bareiss_det, branch_data, eval_at_poly,
-                       fixed_point_expand, newton_lift, uni_order)
+from algseries import (BivarPoly, InputError, LiftError, NotSimpleRootError, PrecisionError,
+                       ReducedHenselEq, TruncatedSeries, bareiss_det, branch_data,
+                       eval_at_poly, fixed_point_expand, newton_lift, uni_order)
 from algseries import henselization, newton
 from algseries.wilczynski import _eliminate
-from conftest import E4_POLY, extended_seed, liftable_instances, rational
+from conftest import E4_POLY, TANGENT, extended_seed, liftable_instances, rational
 
 CATALAN_POLY = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 2): -1})  # y - x - y^2
 
@@ -36,26 +36,58 @@ def test_lift_polynomial_root():
 
 def test_lift_extends_one_coefficient_seeds():
     # a bare c_1 stops at the branch index; the closed next-coefficient
-    # formula grows it to the liftable length
+    # formula grows it as ``expand`` does, and both seeds lift alike
     linear = BivarPoly({(0, 1): 1, (1, 0): -1})
     _bd, coeffs = extended_seed(linear, [F(1)])
     assert coeffs == [1, 0]
     assert newton_lift(linear, coeffs, 5).series.one_based() == (1, 0, 0, 0, 0)
+    assert newton_lift(linear, [1], 5).series.one_based() == (1, 0, 0, 0, 0)
+
+
+def test_lift_from_the_branch_prefix():
+    # Newton's lemma needs only c_1..c_{k0+1}: lifting from there gives the
+    # lift from the seed grown by the closed next-coefficient formula
+    for T in (5, 50):
+        assert newton_lift(E4_POLY, [1], T).series == newton_lift(E4_POLY, [1, 1], T).series
+    rng = random.Random(46)
+    tangent = [1, 0, 0, 0, 1]   # k0 = 4
+    cases = [(TANGENT, tangent, branch_data(TANGENT, TruncatedSeries(tangent)))]
+    for P, seed, bd in liftable_instances(rng, 24) + cases:
+        prefix = seed[: bd.k0 + 1]
+        _bd, grown = extended_seed(P, prefix)
+        assert newton_lift(P, prefix, 16).series == newton_lift(P, grown, 16).series
+
+
+def test_lift_schedule_doubles_past_k0():
+    # past k0 the lowest coefficient of P(x, z_t + x^(t+1) y) is linear in
+    # y, so a step from c_1..c_t is exact through 2t - k0 (here k0 = 2 and
+    # e = 5: 4, 6, 10, 18, 34, 60)
+    # (y - x)(y - x - x^2)(y - x - x^3) + x^9 + 2 x^9 y
+    P = BivarPoly({(0, 3): 1, (1, 2): -3, (2, 1): 3, (2, 2): -1, (3, 0): -1, (3, 1): 2,
+                   (3, 2): -1, (4, 0): -1, (4, 1): 2, (5, 0): -1, (5, 1): 1, (6, 0): -1,
+                   (9, 0): 1, (9, 1): 2})
+    bd = branch_data(P, TruncatedSeries([1, 0, 0, -1]))
+    assert (bd.k0, bd.i_k0 - bd.k0 - 1) == (2, 5)
+    assert newton_lift(P, [1, 0, 0, -1], 20).iterations == 4
+    assert newton_lift(P, [1, 0, 0, -1], 60).iterations == 5
+    assert newton_lift(E4_POLY, [1, 1], 400).iterations == 8
 
 
 def test_lift_rejects_short_seed():
-    with pytest.raises(LiftError):
-        newton_lift(E4_POLY, [1], 5)
+    # TANGENT's branches share c_1..c_4, so k0 = 4 and [1, 0] cannot
+    # isolate one of them
+    with pytest.raises(PrecisionError):
+        newton_lift(TANGENT, [1, 0], 8)
 
 
 def test_lift_rejects_inconsistent_seed():
-    with pytest.raises(LiftError):
+    with pytest.raises(NotSimpleRootError, match="c_2"):
         newton_lift(E4_POLY, [1, 5], 8)
 
 
 def test_lift_rejects_double_root():
     double = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1})
-    with pytest.raises(LiftError):
+    with pytest.raises(NotSimpleRootError):
         newton_lift(double, [1] + [0] * 11, 14)
 
 
@@ -69,9 +101,8 @@ def test_lift_residuals():
 
 def test_lift_through_a_high_order_derivative():
     # x^m P has P's root, and its dP/dy has order m more along it, so most
-    # of these lifts start at t <= e, where a step keeps only its first new
-    # coefficient.  A later step would mend a wrong one, so every target
-    # precision is lifted to on its own.
+    # of these lifts start at t <= e.  A later step would mend a wrong
+    # coefficient, so every target precision is lifted to on its own.
     rng = random.Random(45)
     cases = high = 0
     for P, seed, _bd in liftable_instances(rng, 20):
