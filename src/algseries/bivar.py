@@ -11,11 +11,11 @@ from the stored support.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import InputError, PrecisionError
-from .series import TruncatedSeries, _frac, _mul
+from .series import TruncatedSeries, _clear, _frac, _int_mul
 
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
@@ -119,25 +119,38 @@ class BivarPoly:
         return BivarPoly({k: Fraction(sign * v, content) for k, v in ints.items()})
 
 
-def _powers(y: Sequence[Fraction], top: int, n: int) -> list[list[Fraction]]:
-    """Dense powers y^0..y^top of the dense series y, each cut after x^n."""
-    powers = [[Fraction(1)]]
-    for _ in range(top):
-        powers.append(_mul(powers[-1], y, n))
-    return powers
+def _powers(y: Sequence[Fraction], top: int, n: int) -> tuple[int, list[list[int]]]:
+    """(d, [Y^0, .., Y^top]) with y = Y / d: integer numerator lists of the
+    powers of the dense series y, the j-th over d^j, each cut after x^n.
+    Even powers are squares, the cheaper product."""
+    d, ints = _clear(y)
+    powers = [[1]]
+    for j in range(1, top + 1):
+        half = powers[j // 2]
+        powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], ints, n))
+    return d, powers
 
 
 def _evaluate(P: BivarPoly, y: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Dense P(x, y(x)) modulo x^(n+1), n + 1 entries, for a dense y."""
-    powers = _powers(y, P.y_degree, n)
-    out = [Fraction(0)] * (n + 1)
+    """Dense P(x, y(x)) modulo x^(n+1), n + 1 entries, for a dense y.
+
+    One integer pass: with y = Y / d and L the common denominator of P,
+    each term a x^i y^j adds (a L) d^(top - j) Y^j to the numerators over
+    L d^top, and each output coefficient becomes one Fraction at the end.
+    """
+    top = P.y_degree
+    d, powers = _powers(y, top, n)
+    den = lcm(*(a.denominator for a in P._terms.values()))
+    out = [0] * (n + 1)
     for (i, j), a in P._terms.items():
         if i > n:
             continue  # the whole term lies past the cut
-        for m, c in enumerate(powers[j][: n + 1 - i]):
+        scale = a.numerator * (den // a.denominator) * d ** (top - j)
+        for m, c in enumerate(powers[j][: n + 1 - i], i):
             if c:
-                out[i + m] += a * c
-    return out
+                out[m] += scale * c
+    den *= d ** top
+    return [Fraction(c, den) for c in out]
 
 
 def eval_at_poly(P: BivarPoly, z: Sequence, precision: int | None = None) -> list[Fraction]:
@@ -159,11 +172,11 @@ def substitute_tail(P: BivarPoly, z: Sequence, e: int) -> BivarPoly:
     if e < 1:
         raise InputError("substitution exponent must be at least 1")
     dense = [Fraction(0)] + [_frac(c) for c in z]
-    powers = _powers(dense, P.y_degree, len(z) * P.y_degree)
+    d, powers = _powers(dense, P.y_degree, len(z) * P.y_degree)
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), a in P._terms.items():
         for m in range(j + 1):
-            w = a * comb(j, m)
+            w = a * comb(j, m) / d ** (j - m)
             zp = powers[j - m]
             base = i + e * m
             for t, c in enumerate(zp):

@@ -1,16 +1,20 @@
 """Truncated power series over the rationals.
 
 A series is known modulo x^(T+1): exactly the coefficients of x^0..x^T are
-stored, and nothing is claimed beyond that.  All coefficients are
-``fractions.Fraction`` values in canonical reduced form, so every operation
-here is exact.  The valuation is always computed from the stored data; a
-truncation whose stored coefficients all vanish is a distinguished state
-that only promises "order > precision".
+stored, and nothing is claimed beyond that.  ``fractions.Fraction`` is the
+boundary type: every stored coefficient, argument and result is a Fraction
+in canonical reduced form, so every operation here is exact.  Inside the
+kernel (``_mul``, ``series_div``) a coefficient list is integer numerators
+over one common denominator, and a product is one multiplication of two
+Kronecker-packed integers.  The valuation is always computed from the
+stored data; a truncation whose stored coefficients all vanish is a
+distinguished state that only promises "order > precision".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError, PrecisionError
@@ -132,23 +136,73 @@ class TruncatedSeries:
         return TruncatedSeries._from_dense(_mul(self._c, other._c, t))
 
 
+def _clear(a: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * c for c in a]): integer numerators over one denominator."""
+    d = lcm(*(c.denominator for c in a))
+    return d, [c.numerator * (d // c.denominator) for c in a]
+
+
+def _halves(width: int, count: int) -> int:
+    """2^(8 * width - 1) in each of ``count`` digits of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(a: list[int], width: int) -> int:
+    """sum a[i] * 2^(8 * width * i) for |a[i]| < 2^(8 * width - 1).
+
+    Each digit goes in as ``width`` plain bytes after adding 2^(8 * width - 1)
+    to it, and the added halves are taken back at once.
+    """
+    half = 1 << (8 * width - 1)
+    data = b"".join((v + half).to_bytes(width, "little") for v in a)
+    return int.from_bytes(data, "little") - _halves(width, len(a))
+
+
+def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """Integer product of two coefficient lists, cut after x^n, by Kronecker
+    substitution: a and b are packed into one integer each at a byte width
+    above every |product coefficient| and a sign bit, multiplied once, and
+    the first min(len(a) + len(b) - 1, n + 1) digits are read back.  When b
+    is a, one packed integer is squared, which CPython does faster."""
+    size = min(len(a) + len(b) - 1, n + 1)
+    if not a or not b or size <= 0:
+        return []
+    square = b is a
+    a = a[:size]
+    b = a if square else b[:size]
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    if not top_a or not top_b:
+        return [0] * size
+    bits = top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    packed = _pack(a, width)
+    product = packed * packed if square else packed * _pack(b, width)
+    # with 2^(w-1) added to every digit each one lies in [0, 2^w), so the
+    # low ``size`` digits are plain bytes, whatever the digits above them
+    low = (product + _halves(width, size)) & ((1 << (8 * width * size)) - 1)
+    data = low.to_bytes(width * size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[k: k + width], "little") - half
+            for k in range(0, width * size, width)]
+
+
 def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
     """Dense product of two coefficient lists, cut after x^n.
 
     The result has min(len(a) + len(b) - 1, n + 1) entries.  Every series
-    product and every power inside an evaluation of P(x, y(x)) comes here,
-    so a faster multiplication (integer numerators, Kronecker substitution)
-    is a change to this one function.
+    product and every power inside an evaluation of P(x, y(x)) comes here.
+    Fractions are the boundary: each operand is cleared to integer
+    numerators over one denominator, the integers are multiplied by
+    ``_int_mul``, and each result coefficient is one Fraction over the
+    product of the two denominators.
     """
-    if not a or not b:
+    size = min(len(a) + len(b) - 1, n + 1)
+    if not a or not b or size <= 0:
         return []
-    out = [Fraction(0)] * min(len(a) + len(b) - 1, n + 1)
-    for i, u in enumerate(a[: n + 1]):
-        if u:
-            for j, v in enumerate(b[: n + 1 - i]):
-                if v:
-                    out[i + j] += u * v
-    return out
+    da, ia = _clear(a[:size])
+    db, ib = (da, ia) if b is a else _clear(b[:size])
+    den = da * db
+    return [Fraction(c, den) for c in _int_mul(ia, ib, n)]
 
 
 def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
@@ -186,6 +240,13 @@ def series_div(u: TruncatedSeries, v: TruncatedSeries, precision: int) -> Trunca
 
     Requires ord(v) finite and ord(u) >= ord(v) (or u the zero truncation).
     Both operands must carry precision + ord(v) coefficients.
+
+    With e = ord(v) and k = ord(u) - e, the quotient is x^k times
+    (u / x^(e+k)) * (v / x^e)^-1, so the inverse is needed only through
+    x^(precision - k).  It is built by Newton's iteration g <- g + g (1 - w g),
+    which doubles the correct terms with two products, and the quotient is
+    one more product; every product is ``_mul``, and Fractions stay the
+    boundary type.
     """
     e = v.valuation
     if e is None:
@@ -194,16 +255,18 @@ def series_div(u: TruncatedSeries, v: TruncatedSeries, precision: int) -> Trunca
         raise PrecisionError("insufficient precision for the requested quotient")
     if u.is_zero_truncation:
         return TruncatedSeries.zero(precision)
-    if u.valuation < e:
+    k = u.valuation - e
+    if k < 0:
         raise InputError("quotient is not a power series (numerator order too small)")
-    un = [u.coefficient(n + e) for n in range(precision + 1)]
-    vn = [v.coefficient(n + e) for n in range(precision + 1)]
-    lead = vn[0]
-    out: list[Fraction] = []
-    for n in range(precision + 1):
-        acc = un[n]
-        for m, w in enumerate(out):
-            if w and vn[n - m]:
-                acc -= w * vn[n - m]
-        out.append(acc / lead)
-    return TruncatedSeries._from_dense(out)
+    m = precision - k  # the inverse is needed through x^m
+    if m < 0:
+        return TruncatedSeries._from_dense([Fraction(0)] * (precision + 1))
+    w = v.coefficients()[e: e + m + 1]
+    inverse = [1 / w[0]]
+    while len(inverse) <= m:
+        size = min(2 * len(inverse), m + 1)
+        # w g = 1 + x^len(g) r, so g - x^len(g) g r is correct through x^(size-1)
+        residue = _mul(w[:size], inverse, size - 1)[len(inverse):]
+        inverse += [-c for c in _mul(inverse, residue, size - len(inverse) - 1)]
+    shifted = u.coefficients()[e + k: e + precision + 1]
+    return TruncatedSeries._from_dense([Fraction(0)] * k + _mul(shifted, inverse, m))

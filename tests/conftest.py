@@ -4,6 +4,7 @@ for algebraic-root instances used across the suite."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from algseries import (BivarPoly, SupportShape, TruncatedSeries, branch_data,
                        coefficient_after_branch)
@@ -107,6 +108,61 @@ def liftable_instances(rng, count):
             continue
         out.append((P, seed, bd))
     return out
+
+
+def _times_root(terms, root):
+    """terms * (y - root(x)) for root = r_1 x + r_2 x^2 + ..., on dicts
+    (i, j) -> integer coefficient."""
+    out = {}
+    for (i, j), a in terms.items():
+        out[(i, j + 1)] = out.get((i, j + 1), 0) + a
+        for m, r in enumerate(root, 1):
+            out[(i + m, j)] = out.get((i + m, j), 0) - a * r
+    return out
+
+
+def late_branch_instances(rng, count):
+    """Random roots whose branch separates late: k0 = 1, 2, 3 in turn.
+
+    P = (y - a)(y - b) [(y - d)] + x^N (r0 + r1 y) with integer polynomials
+    a and b that agree through x^k0 and differ at x^(k0+1), and d (in half
+    of them) with d_1 != a_1.  Along the root through a, dP/dy has order
+    e = k0 + 1 (k0 + 2 with d), and the root moves off a only from x^(N - e)
+    on, so N = 2 k0 + 5 or 6 keeps the seed a_1..a_{k0+2} exact.  Returns
+    (P, seed, bd) like ``liftable_instances``.
+    """
+    out = []
+    while len(out) < count:
+        k0 = len(out) % 3 + 1
+        a = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-3, 3) for _ in range(k0 + 1)]
+        b = a[:k0] + [a[k0] + rng.choice([-2, -1, 1, 2])]
+        terms = _times_root(_times_root({(0, 0): 1}, a), b)
+        if rng.random() < 0.5:
+            terms = _times_root(terms, [a[0] + rng.choice([-1, 1])])
+        n = 2 * k0 + 5 + rng.randint(0, 1)
+        terms[(n, 0)] = terms.get((n, 0), 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        terms[(n, 1)] = terms.get((n, 1), 0) + rng.randint(-3, 3)
+        P = BivarPoly(terms)
+        seed = [F(c) for c in a]
+        bd = branch_data(P, TruncatedSeries(seed))
+        assert bd.k0 == k0
+        out.append((P, seed, bd))
+    return out
+
+
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+HIGH_RATIONALS = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+
+
+def coefficient_lists(max_size):
+    """Lists of at most ``max_size`` rationals: small ones, heights and
+    denominators up to 2^200 of either sign, and runs of zeros; empty and
+    all-zero lists included."""
+    piece = st.one_of(st.lists(st.just(F(0)), min_size=1, max_size=12),
+                      st.lists(st.one_of(SMALL_RATIONALS, HIGH_RATIONALS), min_size=1,
+                               max_size=6))
+    return st.lists(piece, max_size=max_size).map(
+        lambda pieces: [c for p in pieces for c in p][:max_size])
 
 
 def extended_seed(P, coeffs):

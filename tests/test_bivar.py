@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from algseries import (BivarPoly, InputError, TruncatedSeries, eval_at_poly,
                        eval_at_series, shift_substitute, substitute_shift,
                        substitute_tail, uni_order)
-from conftest import E4_POLY, rational
+from conftest import E4_POLY, HIGH_RATIONALS, coefficient_lists, rational
 
 
 def test_terms_drop_zeros_and_degrees():
@@ -134,15 +134,20 @@ def _trim(dense):
 _RATS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 _POLYS = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)), _RATS,
                          max_size=6).map(BivarPoly)
+_WIDE_POLYS = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)),
+                              st.one_of(_RATS, HIGH_RATIONALS),
+                              max_size=6).map(BivarPoly)
 
 
 @settings(max_examples=80, deadline=None)
-@given(P=_POLYS, z=st.lists(_RATS, max_size=5))
-def test_eval_at_poly_cut_matches_exact_prefix(P, z):
+@given(P=_WIDE_POLYS, z=coefficient_lists(60), cuts=st.lists(st.integers(0, 250), max_size=4))
+def test_eval_at_poly_cut_matches_exact_prefix(P, z, cuts):
     exact = _naive_eval(P, [F(0)] + z)
     assert eval_at_poly(P, z) == exact
     top = P.x_degree + P.y_degree * len(z) + 3
-    for n in range(top + 1):
+    # every cut on short prefixes; the ends, the middle and drawn cuts on long ones
+    every = range(top + 1) if top <= 40 else [0, 1, len(z), top // 2, top] + cuts
+    for n in every:
         assert eval_at_poly(P, z, n) == _trim(_cut(exact, n))
         y = TruncatedSeries(z, precision=max(n, len(z)), start=1)
         assert eval_at_series(P, y, n).coefficients() == tuple(_cut(exact, n))

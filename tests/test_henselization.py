@@ -11,8 +11,8 @@ from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError
                        omega0_closed, order_sequence, series_pow, substitute_tail,
                        uni_order)
 from algseries.henselization import _power_coefficient, leaves_branch
-from conftest import (E4_POLY, TANGENT, henselian_instance, liftable_instances,
-                      nonzero_rational)
+from conftest import (E4_POLY, TANGENT, henselian_instance, late_branch_instances,
+                      liftable_instances, nonzero_rational)
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
 
@@ -235,7 +235,7 @@ def test_leaves_branch_agrees_with_order_sequence():
     rng = random.Random(27)
     tangent = [1, 0, 0, 0, 1, 0]   # k0 = 4, e = 5
     cases = [(TANGENT, tangent, branch_data(TANGENT, TruncatedSeries(tangent)))]
-    for P, seed, bd in liftable_instances(rng, 40) + cases:
+    for P, seed, bd in liftable_instances(rng, 40) + late_branch_instances(rng, 9) + cases:
         root = list(newton_lift(P, seed, bd.k0 + 12).series.one_based())
         assert leaves_branch(P, root, bd) is None
         for m in range(bd.k0 + 2, bd.k0 + 13):

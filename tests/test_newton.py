@@ -8,7 +8,8 @@ from algseries import (BivarPoly, InputError, LiftError, NotSimpleRootError, Pre
                        eval_at_poly, fixed_point_expand, newton_lift, uni_order)
 from algseries import henselization, newton
 from algseries.wilczynski import _eliminate
-from conftest import E4_POLY, TANGENT, extended_seed, liftable_instances, rational
+from conftest import (E4_POLY, TANGENT, extended_seed, late_branch_instances, liftable_instances,
+                      rational)
 
 CATALAN_POLY = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 2): -1})  # y - x - y^2
 
@@ -52,7 +53,7 @@ def test_lift_from_the_branch_prefix():
     rng = random.Random(46)
     tangent = [1, 0, 0, 0, 1]   # k0 = 4
     cases = [(TANGENT, tangent, branch_data(TANGENT, TruncatedSeries(tangent)))]
-    for P, seed, bd in liftable_instances(rng, 24) + cases:
+    for P, seed, bd in liftable_instances(rng, 24) + late_branch_instances(rng, 9) + cases:
         prefix = seed[: bd.k0 + 1]
         _bd, grown = extended_seed(P, prefix)
         assert newton_lift(P, prefix, 16).series == newton_lift(P, grown, 16).series
@@ -71,6 +72,23 @@ def test_lift_schedule_doubles_past_k0():
     assert newton_lift(P, [1, 0, 0, -1], 20).iterations == 4
     assert newton_lift(P, [1, 0, 0, -1], 60).iterations == 5
     assert newton_lift(E4_POLY, [1, 1], 400).iterations == 8
+
+
+def test_late_branch_instances_separate_late():
+    # every k0 in 1..3 occurs, dP/dy vanishes to order e > k0 along the
+    # root, and the seed is exact: the lift leaves P(x, y) no lower term
+    # than x^(T + e + 1)
+    rng = random.Random(47)
+    seen = set()
+    for P, seed, bd in late_branch_instances(rng, 12):
+        e = bd.i_k0 - bd.k0 - 1
+        assert e > bd.k0
+        root = newton_lift(P, seed, 20).series
+        assert root.one_based()[: len(seed)] == tuple(seed)
+        residual = uni_order(eval_at_poly(P, list(root.one_based())))
+        assert residual is None or residual > 20 + e
+        seen.add(bd.k0)
+    assert seen == {1, 2, 3}
 
 
 def test_lift_rejects_short_seed():
@@ -93,7 +111,7 @@ def test_lift_rejects_double_root():
 
 def test_lift_residuals():
     rng = random.Random(41)
-    for P, seed, _bd in liftable_instances(rng, 10):
+    for P, seed, _bd in liftable_instances(rng, 10) + late_branch_instances(rng, 9):
         report = newton_lift(P, seed, 12)
         residual = eval_at_poly(P, list(report.series.one_based()))
         assert uni_order(residual) is None or uni_order(residual) > 12
@@ -157,7 +175,7 @@ def test_lift_does_not_rescan_a_long_seed(monkeypatch):
 
 def test_lift_idempotence():
     rng = random.Random(42)
-    for P, seed, _bd in liftable_instances(rng, 8):
+    for P, seed, _bd in liftable_instances(rng, 8) + late_branch_instances(rng, 6):
         short = newton_lift(P, seed, 7).series
         long = newton_lift(P, seed, 13).series
         again = newton_lift(P, list(short.one_based()), 13).series

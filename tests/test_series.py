@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import InputError, PrecisionError, TruncatedSeries, series_div, series_pow
+from algseries.series import _mul
+from conftest import coefficient_lists
 
 
 def test_monomial_power():
@@ -86,18 +88,39 @@ def test_arithmetic_precision_is_weakest():
     assert (a * b).coefficient(2) == 1  # only x*x lands below the cutoff
 
 
-_COEFFS = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
-                   min_size=1, max_size=9)
+def _double_sum(a, b, n):
+    """Coefficient of x^n in the product of the dense lists a and b."""
+    return sum((a[i] * b[n - i] for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)),
+               F(0))
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=_COEFFS, b=_COEFFS)
-def test_product_matches_double_sum(a, b):
+@given(a=coefficient_lists(60), b=coefficient_lists(60), cut=st.integers(0, 130))
+def test_product_matches_double_sum(a, b, cut):
     prod = TruncatedSeries(a, start=0) * TruncatedSeries(b, start=0)
     t = min(len(a), len(b)) - 1
     assert prod.precision == t
     for n in range(t + 1):
-        assert prod.coefficient(n) == sum((a[i] * b[n - i] for i in range(n + 1)), F(0))
+        assert prod.coefficient(n) == _double_sum(a, b, n)
+    size = min(len(a) + len(b) - 1, cut + 1) if a and b else 0
+    assert _mul(a, b, cut) == [_double_sum(a, b, n) for n in range(size)]
+
+
+def test_product_at_packing_boundaries():
+    # +-(2^(8k-1) - 1) and +-2^(8k-1) sit at the edge of a k-byte digit, so
+    # their products fill the packing width exactly or spill one bit over
+    for k in (1, 2, 3, 5):
+        for top in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            for length in (1, 2, 3, 16):
+                alternating = [F((-1) ** i * top) for i in range(length)]
+                single = [F(0)] * (length - 1) + [F(top)]
+                operands = [[F(top)] * length, [F(-top)] * length, alternating, single,
+                            [F(-top, 3)] * length]
+                for a in operands:
+                    for b in operands:
+                        want = [_double_sum(a, b, n) for n in range(2 * length - 1)]
+                        assert _mul(a, b, 2 * length) == want
+                        assert _mul(a, b, length - 1) == want[:length]
 
 
 def test_results_are_canonical_fractions():
@@ -123,3 +146,64 @@ def test_division_recovers_factor():
 def test_division_by_zero_truncation_rejected():
     with pytest.raises(InputError):
         series_div(TruncatedSeries([1, 1]), TruncatedSeries.zero(2), 1)
+
+
+def _div_recurrence(u, v, precision):
+    """u/v by the O(n^2) recurrence q_n = (u_{n+e} - sum_{m<n} q_m v_{n-m+e}) / v_e,
+    with series_div's checks in series_div's order."""
+    e = v.valuation
+    if e is None:
+        raise InputError("division by a zero truncation")
+    if min(u.precision, v.precision) - e < precision:
+        raise PrecisionError("insufficient precision")
+    if u.is_zero_truncation:
+        return TruncatedSeries.zero(precision)
+    if u.valuation < e:
+        raise InputError("numerator order too small")
+    un = [u.coefficient(n + e) for n in range(precision + 1)]
+    vn = [v.coefficient(n + e) for n in range(precision + 1)]
+    out = []
+    for n in range(precision + 1):
+        acc = un[n]
+        for m, w in enumerate(out):
+            acc -= w * vn[n - m]
+        out.append(acc / vn[0])
+    return TruncatedSeries(out, precision=precision, start=0)
+
+
+def _outcome(divide, *args):
+    try:
+        return divide(*args)
+    except (InputError, PrecisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=coefficient_lists(40), v=coefficient_lists(40), slack=st.integers(-2, 12))
+def test_division_matches_recurrence(u, v, slack):
+    # the precision is drawn around the largest the operands allow, so
+    # PrecisionError, full-length and short quotients all occur
+    us, vs = TruncatedSeries(u, start=0), TruncatedSeries(v, start=0)
+    precision = max(0, min(us.precision, vs.precision) - (vs.valuation or 0) - slack)
+    assert _outcome(series_div, us, vs, precision) == _outcome(_div_recurrence, us, vs, precision)
+
+
+def test_division_with_higher_numerator_order():
+    rng = random.Random(4)
+
+    def series(order, length):
+        tail = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+        return TruncatedSeries([F(0)] * order + [F(rng.randint(1, 5), rng.randint(1, 4))] + tail,
+                               start=0)
+
+    for _ in range(30):
+        e, k, n = rng.randint(0, 4), rng.randint(0, 6), rng.randint(3, 15)
+        v, u = series(e, n), series(e + k, n)
+        precision = min(u.precision, v.precision) - e
+        for p in (0, precision // 2, precision):
+            assert series_div(u, v, p) == _div_recurrence(u, v, p)
+    # an order past the requested precision leaves only zeros
+    u = TruncatedSeries([0, 0, 0, 0, 0, 1], start=0)
+    assert series_div(u, TruncatedSeries([2, 1, 0, 0], start=0), 3) == TruncatedSeries.zero(3)
+    z = series_div(TruncatedSeries.zero(6), TruncatedSeries([0, 3, 1, 0, 0, 0], start=0), 4)
+    assert z == TruncatedSeries.zero(4)
