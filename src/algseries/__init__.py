@@ -17,13 +17,13 @@ from .flajolet_soria import (CompositionVector, EnumerationBudget, ReducedHensel
 from .henselization import (BranchData, HenselForm, OrderTrace, branch_data,
                             coefficient_after_branch, henselize, omega0_closed,
                             order_sequence)
-from .newton import LiftReport, bareiss_det, fixed_point_expand, newton_lift
+from .newton import LiftReport, fixed_point_expand, newton_lift
 from .series import TruncatedSeries, series_div, series_pow
 from .support import (PuiseuxMeta, SupportShape, antilex_key, full_support,
                       puiseux_support_constraints)
 from .wilczynski import (AlgebraicityDecision, MinorIndex, ReconstructionResult,
-                         WilczynskiSlab, build_slab, certify, is_algebraic_rel,
-                         reconstruct, wilczynski_minor)
+                         WilczynskiSlab, bareiss_det, build_slab, certify,
+                         is_algebraic_rel, reconstruct, wilczynski_minor)
 
 __version__ = "0.1.0"
 

@@ -1,19 +1,17 @@
 """Ground-truth generators: Newton lifting of simple roots on truncated
-series, a fraction-free determinant, and fixed-point expansion of reduced
-Henselian equations.
+series and fixed-point expansion of reduced Henselian equations.
 
 Everything here exists to produce fixtures and to cross-check the other
 modules by an independent computational route, so none of it reuses their
 coefficient formulas: lifting runs the classical iteration
-y <- y - P(x,y) / (dP/dy)(x,y), the determinant eliminates over an integer
-lift of the matrix, and the fixed-point expansion just iterates y <- Q(x,y).
+y <- y - P(x,y) / (dP/dy)(x,y), and the fixed-point expansion just
+iterates y <- Q(x,y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .bivar import BivarPoly, eval_at_poly, eval_at_series
@@ -82,45 +80,6 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     if wrong is not None:
         raise LiftError(f"lifted coefficient c_{wrong} leaves the branch")
     return LiftReport(TruncatedSeries(cs, precision=precision, start=1), iterations)
-
-
-def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free elimination on an integer lift.
-
-    Each row is scaled by the least common multiple of its denominators;
-    the integer matrix is then reduced Bareiss-style, dividing each 2x2
-    cross-product by the previous pivot (an exact division), and the
-    result is rescaled.
-    """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = [[_frac(v) for v in row] for row in matrix]
-    if any(len(row) != n for row in rows):
-        raise InputError("matrix must be square")
-    scale = 1
-    lifted: list[list[int]] = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        scale *= mult
-        lifted.append([int(v * mult) for v in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if lifted[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            lifted[col], lifted[pivot] = lifted[pivot], lifted[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for cc in range(col + 1, n):
-                lifted[r][cc] = (
-                    lifted[r][cc] * lifted[col][col] - lifted[r][col] * lifted[col][cc]
-                ) // prev
-            lifted[r][col] = 0
-        prev = lifted[col][col]
-    return Fraction(sign * lifted[n - 1][n - 1], scale)
 
 
 def fixed_point_expand(Q: ReducedHenselEq, precision: int) -> TruncatedSeries:

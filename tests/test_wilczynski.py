@@ -1,16 +1,22 @@
+import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algseries import (BivarPoly, MinorIndex, NotAlgebraicError, PrecisionError,
-                       SupportShape, TruncatedSeries, bareiss_det, branch_data,
+                       SupportShape, TruncatedSeries, branch_data,
                        build_slab, certify, eval_at_poly, eval_at_series, full_support,
                        is_algebraic_rel, newton_lift, reconstruct, series_pow,
-                       wilczynski_minor)
-from conftest import (E3_RECONSTRUCTED, E3_SHAPE, E4_POLY, e3_family_instance,
-                      henselian_instance, nonzero_rational, rational)
+                       wilczynski, wilczynski_minor)
+from algseries.cli import main
+from algseries.serialize import dumps, poly_to_obj, series_to_obj
+from conftest import (E3_RECONSTRUCTED, E3_SHAPE, E4_POLY, HIGH_RATIONALS, SMALL_RATIONALS,
+                      e3_family_instance, henselian_instance, nonzero_rational, rational)
 
 ROOT16 = newton_lift(E4_POLY, [1, 1], 16).series
 # y0 = x/(1 - x): every coefficient 1, killed by x + xy - y and its multiples
@@ -18,6 +24,60 @@ GEOMETRIC14 = TruncatedSeries([1] * 14)
 # y^2 - x^2 - 2x^2y^2 and its root through seed 1, 0
 Y2_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 2): -2})
 Y2_ROOT20 = newton_lift(Y2_POLY, [1, 0], 20).series
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon form: ``rows[k]`` has 1 in column ``pivots[k]``
+    and 0 in the other pivot columns; ``det`` is the determinant of a
+    square matrix."""
+
+    pivots: tuple[int, ...]
+    rows: tuple[tuple[F, ...], ...]
+    det: F
+
+
+def reference_eliminate(rows):
+    """Fraction Gauss-Jordan elimination, columns taken left to right: the
+    reference that the modular kernel and the fraction-free determinant
+    are tested against."""
+    m = [[F(v) for v in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    det = F(1)
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            det = F(0)
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            det = -det
+        lead = m[top][col]
+        det *= lead
+        m[top] = [v / lead for v in m[top]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if f and r != top:
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return Echelon(tuple(pivots), tuple(tuple(r) for r in m[:len(pivots)]), det)
+
+
+def reference_kernel(rows):
+    """``wilczynski._slab_kernel`` from the reference elimination: pivot
+    columns and the kernel vector of the first non-pivot column."""
+    echelon = reference_eliminate(rows)
+    ncols = len(rows[0]) if rows else 0
+    if len(echelon.pivots) == ncols:
+        return echelon.pivots, None
+    dep = next(j for j in range(ncols) if j not in echelon.pivots)
+    vec = [F(0)] * ncols
+    vec[dep] = F(1)
+    for k in range(dep):
+        vec[k] = -echelon.rows[k][dep]
+    return echelon.pivots, tuple(vec)
 
 
 def random_series(rng, precision):
@@ -177,7 +237,7 @@ def test_maximal_minors_vanish_on_algebraic_series():
 
 
 def test_minors_dual_route_agreement():
-    # division-based elimination vs fraction-free oracle, orders up to 6
+    # fraction-free determinant vs the Fraction reference, orders up to 6
     rng = random.Random(17)
     shape6 = SupportShape(
         F=((0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)), G=((1, 0), (2, 0)))
@@ -190,7 +250,7 @@ def test_minors_dual_route_agreement():
             cols = tuple(shape6.F[c_] for c_ in cols)
             sub = [[slab.entries[r - 1][shape6.F.index(cc)] for cc in cols]
                    for r in rows]
-            assert wilczynski_minor(slab, MinorIndex(rows, cols)) == bareiss_det(sub)
+            assert wilczynski_minor(slab, MinorIndex(rows, cols)) == reference_eliminate(sub).det
 
 
 # -- decision, reconstruction, certification
@@ -313,7 +373,7 @@ def liftable_henselian(rng, dx, dy):
             return P, seed
 
 
-@pytest.mark.parametrize("dx, dy, count", [(4, 4, 2), (5, 5, 1)])
+@pytest.mark.parametrize("dx, dy, count", [(4, 4, 2), (5, 5, 1), (8, 8, 1)])
 def test_reconstruct_at_large_bounds(dx, dy, count):
     rng = random.Random(100 * dx + dy)
     precision = 2 * dx * dy + dx + 4
@@ -330,6 +390,146 @@ def test_reconstruct_at_large_bounds(dx, dy, count):
         report = newton_lift(Q, list(prefix.one_based()), precision + 8)
         assert not eval_at_poly(Q, list(report.series.one_based()), precision + 8)
         assert report.series.one_based() == lift.one_based()
+
+
+def test_rank_at_non_minimal_bounds():
+    # a (2, 2) root at (4, 4): the slab kernel holds x^a y^b P for every
+    # shift that fits, and the reported rank is |F| minus its dimension
+    rng = random.Random(31)
+    P, seed = liftable_henselian(rng, 2, 2)
+    c = newton_lift(P, seed, 2 * 4 * 4 + 4).series
+    shape = full_support(4, 4)
+    slab = build_slab(shape, c, 2 * 4 * 4)
+    nullity = len(shape.F) - len(reference_eliminate(slab.entries).pivots)
+    assert nullity > 1
+    result = reconstruct(shape, c, 4, 4)
+    assert result.rank == is_algebraic_rel(shape, c, 4, 4).rank == len(shape.F) - nullity
+    assert certify(result.poly, c, 4, 4)
+
+
+# -- the modular slab kernel against the Fraction reference
+
+ENTRIES = st.one_of(st.just(F(0)), SMALL_RATIONALS, HIGH_RATIONALS)
+
+
+@st.composite
+def low_rank_matrices(draw, corank):
+    """Products A B of rank at most n - corank, entries of height up to
+    2^200 (2^400 after the product) of either sign, with up to two columns
+    and two rows zeroed."""
+    n = draw(st.integers(max(corank, 1), 7))
+    r = n - corank
+    m = draw(st.integers(max(r, 1), 9))
+    a = [[draw(ENTRIES) for _ in range(r)] for _ in range(m)]
+    b = [[draw(ENTRIES) for _ in range(n)] for _ in range(r)]
+    rows = [[sum((a[i][k] * b[k][j] for k in range(r)), F(0)) for j in range(n)]
+            for i in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[j] = F(0)
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [F(0)] * n
+    return rows
+
+
+@st.composite
+def real_slabs(draw):
+    """Slab entries of a random root, at its own bounds or up to two
+    higher in each, or of a random rational prefix."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    dx, dy = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]))
+    bx, by = dx + draw(st.integers(0, 1)), dy + draw(st.integers(0, 1))
+    precision = 2 * bx * by + bx
+    if draw(st.booleans()):
+        P, seed = liftable_henselian(rng, dx, dy)
+        c = newton_lift(P, seed, precision).series
+    else:
+        first = draw(st.one_of(SMALL_RATIONALS, HIGH_RATIONALS).filter(bool))
+        rest = draw(st.lists(ENTRIES, min_size=precision - 1, max_size=precision - 1))
+        c = TruncatedSeries([first] + rest)
+    return build_slab(full_support(bx, by), c, 2 * bx * by).entries
+
+
+@pytest.mark.parametrize("corank", [0, 1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference_on_rational_matrices(corank, data):
+    rows = data.draw(low_rank_matrices(corank))
+    assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=real_slabs())
+def test_kernel_matches_reference_on_slabs(rows):
+    assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+
+
+def fallback_cases():
+    """Roots at their own and at larger bounds, random series, and the
+    rank-zero and empty-G fixtures."""
+    rng = random.Random(47)
+    cases = [(E3_SHAPE, ROOT16, 2, 2), (full_support(2, 3), Y2_ROOT20, 2, 3),
+             (full_support(2, 2), GEOMETRIC14, 2, 2),
+             (SupportShape(F=((1, 1),), G=((2, 0), (3, 0), (4, 0), (5, 0))),
+              TruncatedSeries([3, -1, 2, 5] + [0] * 10), 5, 1),
+             (SupportShape(F=((1, 1), (0, 2)), G=()), TruncatedSeries([2] + [0] * 7), 1, 2)]
+    for dims, bounds in [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (3, 3)), ((2, 3), (3, 4))]:
+        P, seed = liftable_henselian(rng, *dims)
+        bx, by = bounds
+        cases.append((full_support(bx, by), newton_lift(P, seed, 2 * bx * by + bx).series,
+                      bx, by))
+    for bx, by in [(2, 2), (3, 3)]:
+        cases.append((full_support(bx, by), random_series(rng, 2 * bx * by + bx), bx, by))
+    return cases
+
+
+def outcome(shape, c, dx, dy):
+    rank = is_algebraic_rel(shape, c, dx, dy).rank
+    try:
+        result = reconstruct(shape, c, dx, dy)
+    except NotAlgebraicError as exc:
+        return rank, str(exc)
+    return rank, result.rank, result.poly
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_tiny_prime_falls_back_to_the_same_answers(prime, monkeypatch):
+    # mod 3 or 5 the rank often drops and reconstructed vectors are wrong:
+    # only the exact check over Q and the fraction-free fallback keep the
+    # answers
+    cases = fallback_cases()
+    expected = [outcome(*case) for case in cases]
+    assert len({len(e) for e in expected}) == 2  # positives and negatives
+    bareiss = wilczynski._bareiss
+    calls = []
+    monkeypatch.setattr(wilczynski, "_PRIME", prime)
+    monkeypatch.setattr(wilczynski, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    assert [outcome(*case) for case in cases] == expected
+    assert calls
+    for shape, c, dx, dy in cases:
+        rows = build_slab(shape, c, 2 * dx * dy).entries
+        assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+
+
+def test_relation_beyond_one_prime(tmp_path, capsys, monkeypatch):
+    # y - x + K x y^2 - 3 x^2 y with K near 2^40: scaled to 1 on its leading
+    # term x y^2, the relation has denominators K, past what one 61-bit
+    # prime reconstructs, so the fraction-free fallback answers
+    K = 2 ** 40 + 15
+    P = BivarPoly({(0, 1): 1, (1, 0): -1, (1, 2): K, (2, 1): -3})
+    series = tmp_path / "root.json"
+    series.write_text(dumps(series_to_obj(newton_lift(P, [1], 2 * 2 * 2 + 2).series)))
+    argv = ["implicitize", "--series", str(series), "--dx", "2", "--dy", "2"]
+    bareiss = wilczynski._bareiss
+    calls = []
+    monkeypatch.setattr(wilczynski, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert calls
+    assert json.loads(out)["polynomial"] == poly_to_obj(P)
+    monkeypatch.setattr(wilczynski, "_slab_kernel", reference_kernel)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_elimination_matches_sympy_nullspace():
