@@ -18,6 +18,40 @@ polynomial with many terms costs time and budget but never stack depth.
 ``weighted_compositions`` (the seed spreads of a given size and weight)
 and ``multinomial`` are the one enumerator and the one multinomial that
 the Hensel-form tables in ``henselization`` use as well.
+
+The closed form has an exact integer kernel of its own, apart from the
+series kernel, so neither expansion route borrows the other's arithmetic:
+
+- A seed spread (t_1, ..., t_{k+1}) is packed into one integer, one field
+  of ``width`` bits per entry, entry v at bit width * v.  The spread left
+  to cover is held as guard + packed spread, where ``guard`` has the top
+  bit 2^(width - 1) of every field set.  Taking a slot's spread L is one
+  subtraction of its packed form, and n copies of it one subtraction of
+  n times that.
+- Width rule: 2^(width - 1) exceeds every entry of the target T and every
+  single subtraction.  The last slot of an item subtracts left * L, and
+  both that and |T| are at most q * dy <= p * dy, so the closed form takes
+  width = (p * dy).bit_length() + 1 (``e_coefficient``: its own q and T).
+  A field then starts in [2^(width - 1), 2^width) and, while its entry is
+  r >= 0, one subtraction of at most 2^(width - 1) - 1 leaves it in
+  (0, 2^width).  No borrow or carry crosses into the next field, so the
+  integer difference is the fieldwise one, and a field's guard bit is set
+  exactly when its entry is still >= 0.  "Some entry went negative" is
+  ``remaining & guard != guard``, and the walk stops there, as the tuple
+  walk it replaces did; "covered exactly" is ``remaining == guard``.
+- The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
+  denominator D and the coefficients of P to numerators over one A.  Every
+  T of one coefficient multi-exponent S has the same |T|, so
+  sum_T e(S, T) * prod n_v^t_v is an integer over D^|T|, and every S of one
+  q shares A^q; a Fraction is made only per (q, |T|).
+- The walks count their nodes locally against the room the budget has
+  left and charge it when the count passes that room (which raises) and
+  when a walk ends.
+
+The nodes visited, their order, the budget charged and every value are
+those of the literal tuple-and-Fraction walk; only the cost per node is
+smaller.  ``fs_coefficient`` clears the coefficients of Q the same way and
+makes one Fraction per size m of the exponent vectors.
 """
 
 from __future__ import annotations
@@ -25,8 +59,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from operator import sub
+from math import comb, factorial, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .bivar import BivarPoly
@@ -199,14 +232,18 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *,
     if budget is None:
         budget = EnumerationBudget()
     cap = n if Q.no_pure_x_powers else 2 * n - 1
+    # the coefficients as integer numerators over one denominator D, so a
+    # vector of size m contributes an integer over m * D^m
     coeffs = Q.terms
-    total = Fraction(0)
+    D = lcm(*(v.denominator for v in coeffs.values()))
+    nums = {key: v.numerator * (D // v.denominator) for key, v in coeffs.items()}
+    by_size: dict[int, int] = {}
     for vec in compositions(Q, n, cap, budget):
-        prod = Fraction(multinomial([e for _, e in vec.exponents]), vec.size)
+        term = multinomial([e for _, e in vec.exponents])
         for key, e in vec.exponents:
-            prod *= coeffs[key] ** e
-        total += prod
-    return total
+            term *= nums[key] ** e
+        by_size[vec.size] = by_size.get(vec.size, 0) + term
+    return sum((Fraction(acc, m * D ** m) for m, acc in by_size.items()), Fraction(0))
 
 
 def fs_expand(Q: ReducedHenselEq, precision: int, *,
@@ -243,46 +280,73 @@ def _slots(i: int, j: int, k: int, i_k: int) -> list[tuple[int, tuple[int, ...],
     return out
 
 
-def _e_from_slots(items, slot_table, T_S: tuple[int, ...], budget: EnumerationBudget) -> int:
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum values[v] * 2^(width * v): one ``width``-bit field per entry."""
+    out = 0
+    for value in reversed(values):
+        out = (out << width) + value
+    return out
+
+
+def _layout(fields: int, bound: int) -> tuple[int, int]:
+    """(width, guard) for packed spreads of ``fields`` entries when no entry
+    and no single subtraction exceeds ``bound``: 2^(width - 1) > bound, and
+    guard sets the top bit of every field."""
+    width = bound.bit_length() + 1
+    return width, _pack([1 << (width - 1)] * fields, width)
+
+
+def _e_from_slots(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int, int]]],
+                  remaining: int, guard: int, budget: EnumerationBudget) -> int:
     """Sum of q!/prod(n!) * prod(base^n) over all assignments of the item
-    exponents to their slots whose seed spreads add up to exactly T_S."""
-    if not items:
-        return int(not any(T_S))
-    item_slots = [slot_table[key] for key, _ in items]
-    for (_, s), slots in zip(items, item_slots):
-        if s and not slots:
-            return 0
-    fq = factorial(sum(s for _, s in items))
-    acc = 0
+    exponents to their slots whose seed spreads add up to exactly the
+    target spread.
+
+    Item t has exponent exponents[t] >= 1 and slots item_slots[t], each a
+    (packed spread, base) pair; ``remaining`` is guard plus the packed
+    target (see the module docstring).
+    """
+    if not exponents:
+        return int(remaining == guard)
+    if not all(item_slots):
+        return 0
+    fq = factorial(sum(exponents))
+    last = len(exponents) - 1
+    ends = [len(slots) - 1 for slots in item_slots]
+    room = budget.limit - budget.used
+    nodes = acc = 0
     # a node puts n copies of one slot's spread into the spread left to
     # cover; a frame is (item index, slot index, exponent left for the item,
     # spread left, prod n!, prod base^n), and an item's last slot takes all
     # that is left of its exponent
-    stack = [(0, 0, items[0][1], tuple(T_S), 1, 1)]
+    stack = [(0, 0, exponents[0], remaining, 1, 1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        item_idx, slot_idx, left, remaining, denom, bases = stack.pop()
-        budget.spend()
-        slots = item_slots[item_idx]
-        _m, L, base = slots[slot_idx]
-        if slot_idx < len(slots) - 1:
-            for n in range(left + 1):
-                if n:
-                    remaining = tuple(map(sub, remaining, L))
-                    if min(remaining) < 0:
-                        break
-                stack.append((item_idx, slot_idx + 1, left - n, remaining,
-                              denom * factorial(n), bases * base ** n))
+        item, slot, left, remaining, denom, bases = pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        L, base = item_slots[item][slot]
+        if slot < ends[item]:
+            slot += 1
+            push((item, slot, left, remaining, denom, bases))
+            for n in range(1, left + 1):
+                remaining -= L
+                if remaining & guard != guard:
+                    break
+                push((item, slot, left - n, remaining, denom * factorial(n), bases * base ** n))
             continue
         if left:
-            remaining = tuple(map(sub, remaining, [left * t for t in L]))
-            if min(remaining) < 0:
+            remaining -= left * L
+            if remaining & guard != guard:
                 continue
-        denom *= factorial(left)
-        bases *= base ** left
-        if item_idx + 1 < len(items):
-            stack.append((item_idx + 1, 0, items[item_idx + 1][1], remaining, denom, bases))
-        elif not any(remaining):
+            denom *= factorial(left)
+            bases *= base ** left
+        if item < last:
+            push((item + 1, 0, exponents[item + 1], remaining, denom, bases))
+        elif remaining == guard:
             acc += fq // denom * bases
+    budget.spend(nodes)
     return acc
 
 
@@ -307,8 +371,15 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
             raise InputError(f"exponent assignment {key}: {s} outside bounds")
         if s:
             items.append(((int(i), int(j)), int(s)))
-    slot_table = {key: _slots(key[0], key[1], k, i_k) for key, _ in items}
-    return _e_from_slots(items, slot_table, tuple(int(t) for t in T_S), budget)
+    T = [int(t) for t in T_S]
+    # q * dy bounds every single subtraction; adding max |t| covers a
+    # negative entry too: it stays negative, so no step passes the guard
+    # test and every step is taken from T itself
+    width, guard = _layout(k + 1, sum(s for _, s in items) * dy + max(map(abs, T), default=0))
+    item_slots = [[(_pack(L, width), base) for _m, L, base in _slots(i, j, k, i_k)]
+                  for (i, j), _ in items]
+    return _e_from_slots([s for _, s in items], item_slots, guard + _pack(T, width),
+                         guard, budget)
 
 
 def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
@@ -336,36 +407,50 @@ def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
         raise InputError("omega0 must be nonzero")
     if budget is None:
         budget = EnumerationBudget()
-    seed = tuple(_frac(v) for v in c[: k + 1])
+    seed = [_frac(v) for v in c[: k + 1]]
     support = sorted(P.terms.items())
-    slot_table: dict[tuple[int, int], list] = {}
-    usable: list[tuple[tuple[int, int], Fraction, bool]] = []
-    for key, a in support:
-        slots = _slots(key[0], key[1], k, i_k)
+    # the seed and the coefficients of P as integer numerators over one
+    # denominator each, D and A
+    D = lcm(*(v.denominator for v in seed))
+    nums = [v.numerator * (D // v.denominator) for v in seed]
+    A = lcm(*(a.denominator for _, a in support))
+    # |T| and every single subtraction of a spread are at most q * dy <= p * dy
+    width, guard = _layout(k + 1, p * max((j for (_, j), _ in support), default=0))
+    # per term of P: i, j, its numerator over A, its slots as (packed spread, base)
+    usable: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    for (i, j), a in support:
+        slots = _slots(i, j, k, i_k)
         budget.spend(len(slots) + 1)
-        slot_table[key] = slots
-        usable.append((key, a, bool(slots)))
+        usable.append((i, j, a.numerator * (A // a.denominator),
+                       [(_pack(L, width), base) for _m, L, base in slots]))
+    terms = len(usable)
 
     total = Fraction(0)
     for q in range(1, p + 1):
         p_star = p + q * i_k - (q - 1) * (k + 1)
         if p_star < 0:
             continue
-        acc_q = Fraction(0)
+        # |T| -> sum over the S with that |T| of the integer
+        # prod(numerator^s) * sum_T e(S, T) * prod(n_v^t_v)
+        by_size: dict[int, int] = {}
+        room = budget.limit - budget.used
+        nodes = 0
         # frames (term index, |S| left, x-weight, y-weight, nonzero (index, s) pairs)
         stack = [(0, q, 0, 0, ())]
+        pop, push = stack.pop, stack.append
         while stack:
-            idx, left, s1, s2, chosen = stack.pop()
-            budget.spend()
-            if idx < len(usable):
-                (i, j), _a, has_slots = usable[idx]
-                top = left if has_slots else 0
-                if i:
-                    top = min(top, (p_star - s1) // i)
+            idx, left, s1, s2, chosen = pop()
+            nodes += 1
+            if nodes > room:
+                budget.spend(nodes)
+            if idx < terms:
+                i, j, _num, slots = usable[idx]
+                top = left if slots else 0
+                if i and (p_star - s1) // i < top:
+                    top = (p_star - s1) // i
                 for e in range(top, 0, -1):
-                    stack.append((idx + 1, left - e, s1 + i * e, s2 + j * e,
-                                  chosen + ((idx, e),)))
-                stack.append((idx + 1, left, s1, s2, chosen))
+                    push((idx + 1, left - e, s1 + i * e, s2 + j * e, chosen + ((idx, e),)))
+                push((idx + 1, left, s1, s2, chosen))
                 continue
             if left or s2 < q - 1:
                 continue
@@ -376,20 +461,28 @@ def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
                     continue
             elif not tot <= wgt <= (k + 1) * tot:
                 continue
-            items = [(usable[t][0], e) for t, e in chosen]
-            a_power = Fraction(1)
-            for t, e in chosen:
-                a_power *= usable[t][1] ** e
-            inner = Fraction(0)
+            # the walks below charge the budget themselves
+            budget.spend(nodes)
+            nodes = 0
+            exponents = [e for _, e in chosen]
+            item_slots = [usable[t][3] for t, _ in chosen]
+            inner = 0
             for T in weighted_compositions(k + 1, tot, wgt):
                 budget.spend()
-                e = _e_from_slots(items, slot_table, T, budget)
+                e = _e_from_slots(exponents, item_slots, guard + _pack(T, width), guard, budget)
                 if e:
-                    mono = Fraction(1)
                     for v, t in enumerate(T):
                         if t:
-                            mono *= seed[v] ** t
-                    inner += e * mono
-            acc_q += a_power * inner
-        total += Fraction(1, q) * Fraction(-1) ** q / w0 ** q * acc_q
+                            e *= nums[v] ** t
+                    inner += e
+            room = budget.limit - budget.used
+            if inner:
+                for t, e in chosen:
+                    inner *= usable[t][2] ** e
+                by_size[tot] = by_size.get(tot, 0) + inner
+        budget.spend(nodes)
+        # every seed monomial of one |T| shares the denominator D^|T|, and
+        # every coefficient monomial of one q the denominator A^q
+        acc_q = sum((Fraction(v, D ** tot) for tot, v in by_size.items()), Fraction(0))
+        total += Fraction(-1) ** q / (q * w0 ** q * A ** q) * acc_q
     return total

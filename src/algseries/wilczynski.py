@@ -244,7 +244,10 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
             labels.append(n)
         n += 1
     top_j = shape.max_y
-    powers = [series_pow(c, j, c.precision) for j in range(top_j + 1)]
+    # y0^j = y0^(j-1) * y0: one product per power
+    powers = [series_pow(c, 0, c.precision)]
+    for _ in range(top_j):
+        powers.append(powers[-1] * c)
     entries = tuple(
         tuple(powers[j].coefficient(label - i) for (i, j) in shape.F)
         for label in labels

@@ -243,6 +243,20 @@ def test_budget_exit_three(files, capsys):
     assert code == 3 and obj["error"] == "BudgetError"
 
 
+def test_budget_at_and_one_below_the_node_count(files, capsys):
+    # the closed form visits 7575 nodes for c_3..c_8 of e4: that budget
+    # answers, one node fewer exits 3
+    argv = ["expand", "--poly", files["poly"], "--seed", files["seed"],
+            "--count", "6", "--method", "closed", "--budget"]
+    assert main(argv + ["7575"]) == 0
+    assert capsys.readouterr().out == (
+        '{"coefficients": ["0", "-1", "-1/2", "1", "1", "-1"], "i_k": 3, "k": 1, "k0": 0, '
+        '"method": "closed", "omega0": "2", "seed": ["1", "1"]}\n')
+    assert main(argv + ["7574"]) == 3
+    assert capsys.readouterr().out == \
+        '{"detail": "enumeration exceeded 7574 nodes", "error": "BudgetError"}\n'
+
+
 def test_budget_exit_three_with_long_seed(files, capsys):
     # y^2 - x y^2 + y - 2xy - x has the root x/(1 - x): a 100-term seed
     # makes the closed form's slot lists long

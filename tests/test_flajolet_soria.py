@@ -3,16 +3,21 @@ import random
 import warnings
 from fractions import Fraction as F
 from math import factorial
+from operator import sub
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
-                       ReducedHenselEq, TruncatedSeries, branch_data,
+                       ReducedHenselEq, TruncatedSeries, bivar, branch_data,
                        closed_form_coefficient, compositions, e_coefficient,
                        eval_at_series, fixed_point_expand, fs_coefficient,
-                       fs_expand, henselize, newton_lift, weighted_compositions)
-from algseries.flajolet_soria import _slots, multinomial
-from conftest import E4_POLY, late_branch_instances, liftable_instances, nonzero_rational, rational
+                       fs_expand, henselize, newton_lift, series, weighted_compositions)
+from algseries.flajolet_soria import _e_from_slots, _layout, _pack, _slots, multinomial
+from algseries.henselization import _power_coefficient
+from conftest import (E4_POLY, SMALL_RATIONALS, late_branch_instances, liftable_instances,
+                      nonzero_rational, rational)
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
 
@@ -236,12 +241,7 @@ def test_closed_form_symbolic_spot_check():
         assert got == -2 * a22 * c1 * c2 / w0
 
 
-def test_closed_form_triple_agreement():
-    rng = random.Random(34)
-    cases = [(instance, 6) for instance in liftable_instances(rng, 8)]
-    # roots that separate late (k0 = 1..3) have larger Hensel forms, so
-    # two tail coefficients keep their enumerations small
-    cases += [(instance, 2) for instance in late_branch_instances(rng, 6)]
+def _assert_triple_agreement(cases):
     for (P, seed, bd), terms in cases:
         for k in (bd.k0 + 1, bd.k0 + 2):
             lift = newton_lift(P, seed, k + 7)
@@ -256,6 +256,36 @@ def test_closed_form_triple_agreement():
                 else:
                     fs_c = fs_coefficient(form.eq, p)
                 assert newton_c == fs_c == closed_c
+
+
+def test_closed_form_triple_agreement():
+    rng = random.Random(34)
+    cases = [(instance, 6) for instance in liftable_instances(rng, 8)]
+    # roots that separate late (k0 = 1..3) have larger Hensel forms, so
+    # two tail coefficients keep their enumerations small
+    cases += [(instance, 2) for instance in late_branch_instances(rng, 6)]
+    _assert_triple_agreement(cases)
+
+
+def _rescaled(P, seed, r, d):
+    """P(r x, d y), whose root is y(r x) / d: rational coefficients and a
+    rational seed c_n r^n / d, with the same branch indices as P's root."""
+    Q = BivarPoly({(i, j): a * r ** i * d ** j for (i, j), a in P.terms.items()})
+    scaled = [c * r ** n / d for n, c in enumerate(seed, 1)]
+    return Q, scaled, branch_data(Q, TruncatedSeries(scaled))
+
+
+def test_closed_form_triple_agreement_rational_data():
+    rng = random.Random(38)
+    scales = [(F(2, 3), F(5, 7)), (F(-1, 4), F(3)), (F(7, 5), F(-1, 2 ** 20))]
+    cases = [(_rescaled(P, seed, *scales[n % 3]), 4)
+             for n, (P, seed, _bd) in enumerate(liftable_instances(rng, 6))]
+    cases += [(_rescaled(P, seed, *scales[n % 3]), 2)
+              for n, (P, seed, _bd) in enumerate(late_branch_instances(rng, 3))]
+    for (P, seed, bd), _ in cases:
+        assert any(a.denominator > 1 for a in P.terms.values())
+        assert any(c.denominator > 1 for c in seed[: bd.k0 + 2])
+    _assert_triple_agreement(cases)
 
 
 def test_e_coefficient_single_factor_is_multinomial():
@@ -320,3 +350,264 @@ def test_denominator_structure_on_integer_data():
             c = lift.series.coefficient(k + 1 + p)
             scaled = bd.omega0 ** p * c
             assert scaled.denominator == 1
+
+
+def test_closed_form_budget_is_exact_on_e4():
+    # p = 6 visits 4077 nodes: that many are enough, one fewer is not
+    budget = EnumerationBudget(limit=4077)
+    assert closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget) == -1
+    assert budget.used == 4077
+    budget = EnumerationBudget(limit=4076)
+    with pytest.raises(BudgetError) as caught:
+        closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
+    assert str(caught.value) == "enumeration exceeded 4076 nodes"
+    assert budget.used == 4077
+
+
+# -- the packed closed-form kernel against the literal walk it replaces
+
+
+def reference_e_from_slots(items, slot_table, T_S, budget):
+    """The literal walk: spreads as tuples, one budget charge per node."""
+    if not items:
+        return int(not any(T_S))
+    item_slots = [slot_table[key] for key, _ in items]
+    for (_, s), slots in zip(items, item_slots):
+        if s and not slots:
+            return 0
+    fq = factorial(sum(s for _, s in items))
+    acc = 0
+    stack = [(0, 0, items[0][1], tuple(T_S), 1, 1)]
+    while stack:
+        item_idx, slot_idx, left, remaining, denom, bases = stack.pop()
+        budget.spend()
+        slots = item_slots[item_idx]
+        _m, L, base = slots[slot_idx]
+        if slot_idx < len(slots) - 1:
+            for n in range(left + 1):
+                if n:
+                    remaining = tuple(map(sub, remaining, L))
+                    if min(remaining) < 0:
+                        break
+                stack.append((item_idx, slot_idx + 1, left - n, remaining,
+                              denom * factorial(n), bases * base ** n))
+            continue
+        if left:
+            remaining = tuple(map(sub, remaining, [left * t for t in L]))
+            if min(remaining) < 0:
+                continue
+        denom *= factorial(left)
+        bases *= base ** left
+        if item_idx + 1 < len(items):
+            stack.append((item_idx + 1, 0, items[item_idx + 1][1], remaining, denom, bases))
+        elif not any(remaining):
+            acc += fq // denom * bases
+    return acc
+
+
+def reference_closed_form(P, c, k, i_k, omega0, p, budget):
+    """The literal closed form: a Fraction monomial per seed multi-exponent."""
+    seed = [F(v) for v in c[: k + 1]]
+    usable, slot_table = [], {}
+    for key, a in sorted(P.terms.items()):
+        slot_table[key] = _slots(key[0], key[1], k, i_k)
+        budget.spend(len(slot_table[key]) + 1)
+        usable.append((key, a, bool(slot_table[key])))
+    total = F(0)
+    for q in range(1, p + 1):
+        p_star = p + q * i_k - (q - 1) * (k + 1)
+        if p_star < 0:
+            continue
+        acc_q = F(0)
+        stack = [(0, q, 0, 0, ())]
+        while stack:
+            idx, left, s1, s2, chosen = stack.pop()
+            budget.spend()
+            if idx < len(usable):
+                (i, j), _a, has_slots = usable[idx]
+                top = left if has_slots else 0
+                if i:
+                    top = min(top, (p_star - s1) // i)
+                for e in range(top, 0, -1):
+                    stack.append((idx + 1, left - e, s1 + i * e, s2 + j * e,
+                                  chosen + ((idx, e),)))
+                stack.append((idx + 1, left, s1, s2, chosen))
+                continue
+            tot, wgt = s2 - q + 1, p_star - s1
+            if left or s2 < q - 1 or not (tot <= wgt <= (k + 1) * tot or tot == wgt == 0):
+                continue
+            items = [(usable[t][0], e) for t, e in chosen]
+            a_power = F(1)
+            for t, e in chosen:
+                a_power *= usable[t][1] ** e
+            inner = F(0)
+            for T in weighted_compositions(k + 1, tot, wgt):
+                budget.spend()
+                mono = F(reference_e_from_slots(items, slot_table, T, budget))
+                for v, t in enumerate(T):
+                    mono *= seed[v] ** t
+                inner += mono
+            acc_q += a_power * inner
+        total += F(-1) ** q / (q * F(omega0) ** q) * acc_q
+    return total
+
+
+def packed_e_from_slots(items, slot_table, T, budget):
+    """``_e_from_slots`` on the reference's arguments, packed at the width
+    rule: 2^(width - 1) above every entry of T and every single subtraction
+    (plus max |t| when T has a negative entry, as ``e_coefficient`` packs)."""
+    largest = max((s * max(L) for key, s in items for _m, L, _b in slot_table[key]),
+                  default=0)
+    if min(T) >= 0:
+        bound = max(largest, *T)
+    else:
+        bound = largest + max(map(abs, T))
+    width, guard = _layout(len(T), bound)
+    item_slots = [[(_pack(L, width), base) for _m, L, base in slot_table[key]]
+                  for key, _ in items]
+    return _e_from_slots([s for _, s in items], item_slots, guard + _pack(T, width),
+                         guard, budget)
+
+
+def _outcome(walk, *args, limit, used=0):
+    """(value or BudgetError text, budget.used) of one walk."""
+    budget = EnumerationBudget(limit=limit, used=used)
+    try:
+        value = walk(*args, budget)
+    except BudgetError as exc:
+        value = str(exc)
+    return value, budget.used
+
+
+@st.composite
+def slot_walks(draw):
+    """Items with positive exponents, a slot table over them (an item may
+    have no slot) and a target spread, some of whose entries may be
+    negative, as ``e_coefficient`` accepts."""
+    fields = draw(st.integers(1, 3))
+    spread = st.tuples(*[st.integers(0, 5)] * fields)
+    items, table = [], {}
+    for key in range(draw(st.integers(0, 3))):
+        table[(key, 1)] = draw(st.lists(st.tuples(st.just(0), spread, st.integers(1, 9)),
+                                        max_size=4))
+        items.append(((key, 1), draw(st.integers(1, 3))))
+    T = draw(st.tuples(*[st.integers(-3, 16)] * fields))
+    return items, table, T
+
+
+# boundary cases of the width rule, each (items, slot table, T); with a
+# field one bit narrower the packed walk gets some of them wrong
+BOUNDARY_WALKS = [
+    # an entry of T equal to |T|, with |T| just below and at a power of two;
+    # the walk checks the guards while that entry is still whole
+    *[([((0, 1), 1)], {(0, 1): [(0, (0, 0), 5), (0, (t, 0), 3)]}, (t, 0))
+      for t in (7, 8, 15, 16)],
+    *[([((0, 1), 1), ((1, 1), 1)],
+       {(0, 1): [(0, (0, 0, 0), 1), (0, (0, t - 1, 0), 2)],
+        (1, 1): [(0, (0, 0, 0), 1), (0, (0, 1, 0), 3)]}, (0, t, 0))
+      for t in (7, 8, 31, 32)],
+    # a last slot whose left * L is the whole bound, from a smaller entry
+    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 3), 2)]}, (1, 9)),
+    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 4), 2)]}, (2, 8)),
+    ([((0, 1), 3), ((1, 1), 2)],
+     {(0, 1): [(0, (1, 0), 1), (0, (0, 5), 2)], (1, 1): [(0, (0, 1), 3), (0, (2, 0), 1)]},
+     (4, 1)),
+    ([((0, 1), 3), ((1, 1), 1)],
+     {(0, 1): [(0, (0, 1), 1), (0, (4, 0), 1)], (1, 1): [(0, (0, 4), 3)]}, (8, 5)),
+    # no items, and an item with no slot
+    ([], {}, (0, 0)),
+    ([], {}, (0, 3)),
+    ([((0, 1), 2)], {(0, 1): []}, (0, 0)),
+    ([((0, 1), 1), ((1, 1), 2)], {(0, 1): [(0, (1, 1), 2)], (1, 1): []}, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("items, table, T", BOUNDARY_WALKS)
+def test_packed_walk_boundary_cases(items, table, T):
+    expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+    assert _outcome(packed_e_from_slots, items, table, T, limit=10 ** 6) == expect
+    # and with every budget that cuts the walk short
+    for limit in range(1, expect[1] + 1):
+        assert _outcome(packed_e_from_slots, items, table, T, limit=limit) == \
+            _outcome(reference_e_from_slots, items, table, T, limit=limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(walk=slot_walks(), limit=st.integers(1, 3000), used=st.integers(0, 50))
+@example(walk=BOUNDARY_WALKS[0], limit=10, used=10)
+def test_packed_walk_matches_tuple_walk(walk, limit, used):
+    items, table, T = walk
+    assert _outcome(packed_e_from_slots, items, table, T, limit=limit + used, used=used) == \
+        _outcome(reference_e_from_slots, items, table, T, limit=limit + used, used=used)
+
+
+def test_e_coefficient_matches_tuple_walk():
+    # e_coefficient packs its own slots, negative entries of T included
+    rng = random.Random(39)
+    for _ in range(200):
+        k, i_k, dx, dy = rng.randint(1, 2), rng.randint(0, 4), 3, 3
+        S = {(rng.randint(0, dx), rng.randint(0, dy)): rng.randint(0, 3) for _ in range(2)}
+        T = tuple(rng.randint(-2, 7) for _ in range(k + 1))
+        items = [(key, s) for key, s in sorted(S.items()) if s]
+        table = {key: _slots(key[0], key[1], k, i_k) for key, _ in items}
+        expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+        assert _outcome(lambda budget: e_coefficient(S, T, k, i_k, dx, dy, budget=budget),
+                        limit=10 ** 6) == expect
+
+
+SEED_RATIONALS = st.one_of(
+    SMALL_RATIONALS,
+    st.builds(F, st.integers(-2 ** 64, 2 ** 64),
+              st.one_of(st.integers(1, 2 ** 64), st.sampled_from([2 ** 63, 2 ** 64 - 1, 2 ** 64]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             SMALL_RATIONALS.filter(bool), min_size=1, max_size=4),
+       seed=st.lists(SEED_RATIONALS, min_size=3, max_size=3),
+       k=st.integers(1, 2), i_k=st.integers(0, 5), p=st.integers(1, 4),
+       omega0=SMALL_RATIONALS.filter(bool), limit=st.integers(1, 20000))
+def test_closed_form_matches_literal_closed_form(terms, seed, k, i_k, p, omega0, limit):
+    # the closed form is a polynomial in P's coefficients and the seed, so
+    # it is compared on any data, not only on roots; rational seeds with
+    # denominators up to 2^64 run the one-denominator-per-|T| path
+    P = BivarPoly(terms)
+    got = _outcome(lambda budget: closed_form_coefficient(P, seed, k, i_k, omega0, p,
+                                                          budget=budget), limit=limit)
+    assert got == _outcome(lambda budget: reference_closed_form(P, seed, k, i_k, omega0, p,
+                                                                budget), limit=limit)
+
+
+def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
+    # the closed form, Flajolet-Soria and the power tables must not borrow
+    # the series kernel that Newton lifting runs on
+    rng = random.Random(40)
+    cases = []
+    for P, seed, bd in liftable_instances(rng, 4) + late_branch_instances(rng, 2):
+        k = bd.k0 + 1
+        coeffs = list(newton_lift(P, seed, k + 4).series.one_based())[: k + 1]
+        form = henselize(P, TruncatedSeries(coeffs), k)
+        i_k = bd.i_k0 + (k - bd.k0)
+        cases.append((P, coeffs, k, i_k, bd.omega0, form.eq))
+
+    def values():
+        out = []
+        for P, coeffs, k, i_k, omega0, eq in cases:
+            for p in (1, 2, 3):
+                out.append(closed_form_coefficient(P, coeffs, k, i_k, omega0, p))
+                if eq is not None:
+                    out.append(fs_coefficient(eq, p))
+                out.append(_power_coefficient(coeffs, p, p + 1))
+        return out
+
+    expect = values()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series kernel was called")
+
+    for module, name in [(series, "_mul"), (series, "_int_mul"), (series, "series_div"),
+                         (series, "series_pow"), (bivar, "_evaluate"), (bivar, "_int_mul")]:
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="series kernel"):
+        newton_lift(*cases[0][:2], 6)
+    assert values() == expect
