@@ -12,8 +12,9 @@ from .bivar import (BivarPoly, eval_at_poly, eval_at_series, shift_substitute,
 from .errors import (AlgSeriesError, BudgetError, InputError, LiftError,
                      NotAlgebraicError, NotSimpleRootError, PrecisionError)
 from .flajolet_soria import (CompositionVector, EnumerationBudget, ReducedHenselEq,
-                             closed_form_coefficient, compositions, e_coefficient,
-                             fs_coefficient, fs_expand, weighted_compositions)
+                             closed_form_coefficient, closed_form_coefficients,
+                             compositions, e_coefficient, fs_coefficient, fs_expand,
+                             weighted_compositions)
 from .henselization import (BranchData, HenselForm, OrderTrace, branch_data,
                             coefficient_after_branch, henselize, omega0_closed,
                             order_sequence)
@@ -34,7 +35,8 @@ __all__ = [
     "NotSimpleRootError", "OrderTrace", "PrecisionError", "PuiseuxMeta",
     "ReconstructionResult", "ReducedHenselEq", "SupportShape", "TruncatedSeries",
     "WilczynskiSlab", "antilex_key", "bareiss_det", "branch_data", "build_slab",
-    "certify", "closed_form_coefficient", "coefficient_after_branch",
+    "certify", "closed_form_coefficient", "closed_form_coefficients",
+    "coefficient_after_branch",
     "compositions", "e_coefficient", "eval_at_poly", "eval_at_series",
     "fixed_point_expand", "fs_coefficient", "fs_expand",
     "full_support", "henselize", "is_algebraic_rel", "newton_lift",

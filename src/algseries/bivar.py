@@ -137,13 +137,17 @@ def _evaluate(P: BivarPoly, y: Sequence[Fraction], n: int) -> list[Fraction]:
     One integer pass: with y = Y / d and L the common denominator of P,
     each term a x^i y^j adds (a L) d^(top - j) Y^j to the numerators over
     L d^top, and each output coefficient becomes one Fraction at the end.
+    When y has no constant term, y^j vanishes mod x^(n+1) for j > n, so
+    the powers stop at top = min(y-degree, n) and those terms are skipped.
     """
     top = P.y_degree
+    if not (y and y[0]):
+        top = min(top, n)
     d, powers = _powers(y, top, n)
     den = lcm(*(a.denominator for a in P._terms.values()))
     out = [0] * (n + 1)
     for (i, j), a in P._terms.items():
-        if i > n:
+        if i > n or j > top:
             continue  # the whole term lies past the cut
         scale = a.numerator * (den // a.denominator) * d ** (top - j)
         for m, c in enumerate(powers[j][: n + 1 - i], i):

@@ -26,7 +26,8 @@ from .bivar import BivarPoly
 from .errors import (BudgetError, InputError, LiftError, NotAlgebraicError,
                      NotSimpleRootError, PrecisionError)
 from .flajolet_soria import (DEFAULT_NODE_BUDGET, EnumerationBudget,
-                             closed_form_coefficient, fs_coefficient)
+                             closed_form_coefficients, fs_coefficient)
+from .flajolet_soria import closed_form_coefficient  # unused; bound because bench/tracing.py wraps it
 from .henselization import (branch_data, coefficient_after_branch, henselize, leaves_branch,
                             order_sequence)
 from .newton import newton_lift
@@ -101,10 +102,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
                 results[method] = [fs_coefficient(form.eq, p, budget=budget)
                                    for p in range(1, args.count + 1)]
         else:
-            results[method] = [
-                closed_form_coefficient(P, coeffs, k, i_k, bd.omega0, p, budget=budget)
-                for p in range(1, args.count + 1)
-            ]
+            results[method] = closed_form_coefficients(P, coeffs, k, i_k, bd.omega0,
+                                                       args.count, budget=budget)
 
     payload = {
         "k": k,
@@ -199,7 +198,7 @@ def _selftest_checks():
         assert [report.series.coefficient(n) for n in (3, 4, 5)] == expect
         form = henselize(e4, seed, 1)
         assert [fs_coefficient(form.eq, p) for p in (1, 2, 3)] == expect
-        got = [closed_form_coefficient(e4, [1, 1], 1, 3, 2, p) for p in (1, 2, 3)]
+        got = closed_form_coefficients(e4, [1, 1], 1, 3, 2, 3)
         assert got == expect, got
 
     def check_implicitize():

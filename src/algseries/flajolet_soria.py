@@ -4,54 +4,86 @@ coefficient expression for a simple algebraic root.
 Given a reduced Henselian equation y = Q(x, y), the coefficients of its
 unique power-series solution are constrained sums of multinomials in the
 coefficients of Q.  Composing that formula with the Hensel-form reduction
-of a vanishing polynomial P yields, for every tail index, a closed-form
-expression in the coefficients of P and an initial part of the root.  The
-closed form is implemented literally (outer sum over coefficient
-multi-exponents S, inner sum over seed multi-exponents T, innermost
-integer weights) and never reuses the Hensel-form coefficients, so the two
-routes stay independent evidence of each other.
+of a vanishing polynomial P yields, for every tail index p, a closed-form
+expression in the coefficients of P and an initial part c_1..c_{k+1} of
+the root:
+
+    c_{k+1+p} = sum_q (-1)^q / (q omega0^q)
+                sum_S A^S sum_T e(S, T) c^T,
+
+with q = |S|, |T| = yw(S) - q + 1, ||T|| = p + q i_k - (q-1)(k+1) - xw(S),
+and e(S, T) the sum, over the assignments of each exponent s_{i,j} of S to
+the slots of (i, j) (a y-exponent m and a seed spread L, ``_slots``) whose
+spreads add up to T, of q!/prod(n!) times the slot multinomials.
+
+The closed form is summed in this order:
+
+- Outer, q = 1..count.  For each q one walk over the coefficient
+  multi-exponents S, capped by the largest index of the request, serves
+  every tail index p at once.
+- At each S, one walk over the slot assignments.  An assignment's seed
+  monomial is the product of its slots' monomials c^L, so the sum over T
+  of e(S, T) c^T is the sum over assignments of that product: the T loop
+  of the literal formula is fused away.  A slot carries (|L|, ||L||,
+  base * c^L), and an assignment's total weight ||T|| names the p it
+  serves, so one walk covers all of them.
+
+Every term is a term of the literal closed form, and every term of it is
+visited once; only the order of summation differs from the formula
+(``e_coefficient`` still gives each e(S, T) on its own).  That is why this
+is still the closed form and not the Hensel form: no slot family is summed
+as a power of a generating polynomial.  Doing so would be the seed
+substitution that ``henselize`` performs, and would fold this route into
+the Flajolet-Soria one.  The walks take no coefficient from the Hensel
+form or the series kernel, so the two routes stay independent evidence of
+each other.
+
+The slot walk stops an assignment as soon as it cannot end inside the
+window [wlo, whi] of weights the request asks for.  Three quantities
+only fall as slots are taken: the size left, whi - weight - size left, and
+weight + (k+1) * size left - wlo (a unit of size weighs 1..k+1).  The walk
+stops at the first negative one.  Slot sizes never rise along a slot list,
+so it also stops once the size left exceeds what the remaining exponents
+can still take.
 
 All enumerations run under a node budget and fail fast once it is
 exhausted; the formulas are exponential and must stay interactive.  They
 run from explicit stacks rather than by recursion, so a long seed or a
 polynomial with many terms costs time and budget but never stack depth.
-``weighted_compositions`` (the seed spreads of a given size and weight)
-and ``multinomial`` are the one enumerator and the one multinomial that
-the Hensel-form tables in ``henselization`` use as well.
+The walks count their nodes locally against the room the budget has left
+and charge it when the count passes that room (which raises) and when a
+walk ends.  ``weighted_compositions`` (the seed spreads of a given size
+and weight) and ``multinomial`` are the one enumerator and the one
+multinomial that the Hensel-form tables in ``henselization`` use as well.
 
 The closed form has an exact integer kernel of its own, apart from the
-series kernel, so neither expansion route borrows the other's arithmetic:
+series kernel, so neither expansion route borrows the other's arithmetic.
+The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
+denominator D and the coefficients of P to numerators over one A.  A slot's
+monomial is base * prod n_v^L_v over D^|L|, every assignment of one S has
+the same |T|, and every S of one q shares A^q, so a Fraction is made only
+per (p, q, |T|).  ``fs_coefficient`` clears the coefficients of Q the same
+way and makes one Fraction per size m of the exponent vectors.
 
-- A seed spread (t_1, ..., t_{k+1}) is packed into one integer, one field
-  of ``width`` bits per entry, entry v at bit width * v.  The spread left
-  to cover is held as guard + packed spread, where ``guard`` has the top
-  bit 2^(width - 1) of every field set.  Taking a slot's spread L is one
-  subtraction of its packed form, and n copies of it one subtraction of
-  n times that.
+``e_coefficient`` walks the same slots for one target T.  There the spread
+left to cover is packed into one integer:
+
+- A spread (t_1, ..., t_{k+1}) has one field of ``width`` bits per entry,
+  entry v at bit width * v.  The spread left is held as guard + packed
+  spread, where ``guard`` has the top bit 2^(width - 1) of every field set.
+  Taking a slot's spread L is one subtraction of its packed form, and n
+  copies of it one subtraction of n times that.
 - Width rule: 2^(width - 1) exceeds every entry of the target T and every
   single subtraction.  The last slot of an item subtracts left * L, and
-  both that and |T| are at most q * dy <= p * dy, so the closed form takes
-  width = (p * dy).bit_length() + 1 (``e_coefficient``: its own q and T).
-  A field then starts in [2^(width - 1), 2^width) and, while its entry is
-  r >= 0, one subtraction of at most 2^(width - 1) - 1 leaves it in
-  (0, 2^width).  No borrow or carry crosses into the next field, so the
-  integer difference is the fieldwise one, and a field's guard bit is set
-  exactly when its entry is still >= 0.  "Some entry went negative" is
-  ``remaining & guard != guard``, and the walk stops there, as the tuple
-  walk it replaces did; "covered exactly" is ``remaining == guard``.
-- The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
-  denominator D and the coefficients of P to numerators over one A.  Every
-  T of one coefficient multi-exponent S has the same |T|, so
-  sum_T e(S, T) * prod n_v^t_v is an integer over D^|T|, and every S of one
-  q shares A^q; a Fraction is made only per (q, |T|).
-- The walks count their nodes locally against the room the budget has
-  left and charge it when the count passes that room (which raises) and
-  when a walk ends.
-
-The nodes visited, their order, the budget charged and every value are
-those of the literal tuple-and-Fraction walk; only the cost per node is
-smaller.  ``fs_coefficient`` clears the coefficients of Q the same way and
-makes one Fraction per size m of the exponent vectors.
+  both that and |T| are at most q * dy, so ``e_coefficient`` takes
+  width = (q * dy + max |t|).bit_length() + 1.  A field then starts in
+  [2^(width - 1), 2^width) and, while its entry is r >= 0, one subtraction
+  of at most 2^(width - 1) - 1 leaves it in (0, 2^width).  No borrow or
+  carry crosses into the next field, so the integer difference is the
+  fieldwise one, and a field's guard bit is set exactly when its entry is
+  still >= 0.  "Some entry went negative" is ``remaining & guard !=
+  guard``, and the walk stops there; "covered exactly" is
+  ``remaining == guard``.
 """
 
 from __future__ import annotations
@@ -191,31 +223,55 @@ class CompositionVector:
     y_weight: int
 
 
+def _exponent_vectors(support: Sequence[tuple[int, int]], n: int, size_cap: int,
+                      budget: EnumerationBudget) -> Iterator[tuple[tuple[tuple[int, int], ...],
+                                                                    int]]:
+    """(nonzero (support index, exponent) pairs, size) of the exponent
+    vectors over ``support`` with x-weight exactly n, y-weight one less than
+    the size, and size at most size_cap.
+
+    Nodes are counted locally against the room the budget has left; the
+    count is charged when it passes that room (which raises), before each
+    vector is yielded and when the walk ends, so ``budget.used`` is exact
+    whenever the caller holds a vector.
+    """
+    room = budget.limit - budget.used
+    nodes = 0
+    end = len(support)
+    # depth-first from an explicit stack, children pushed in reverse so they
+    # are visited in increasing exponent order; a frame is (support index,
+    # x-weight left, size, y-weight, the nonzero (index, exponent) pairs)
+    stack = [(0, n, 0, 0, ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        idx, rem_n, size, y_weight, chosen = pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        if size > size_cap or y_weight > size_cap - 1:
+            continue
+        if idx == end:
+            if rem_n == 0 and size >= 1 and y_weight == size - 1:
+                budget.spend(nodes)
+                nodes = 0
+                yield chosen, size
+                room = budget.limit - budget.used
+            continue
+        l, m = support[idx]
+        top = rem_n // l if l > 0 else size_cap - size
+        for e in range(top, 0, -1):
+            push((idx + 1, rem_n - l * e, size + e, y_weight + m * e, chosen + ((idx, e),)))
+        push((idx + 1, rem_n, size, y_weight, chosen))
+    budget.spend(nodes)
+
+
 def compositions(Q: ReducedHenselEq, n: int, size_cap: int,
                  budget: EnumerationBudget) -> Iterator[CompositionVector]:
     """Exponent vectors over the support of Q with x-weight exactly n,
     y-weight one less than the size, and size at most size_cap."""
     support = Q.support
-    # depth-first from an explicit stack, children pushed in reverse so they
-    # are visited in increasing exponent order; a frame is (support index,
-    # x-weight left, size, y-weight, the nonzero (index, exponent) pairs)
-    stack = [(0, n, 0, 0, ())]
-    while stack:
-        idx, rem_n, size, y_weight, chosen = stack.pop()
-        budget.spend()
-        if size > size_cap or y_weight > size_cap - 1:
-            continue
-        if idx == len(support):
-            if rem_n == 0 and size >= 1 and y_weight == size - 1:
-                yield CompositionVector(tuple((support[t], e) for t, e in chosen),
-                                        size, n, y_weight)
-            continue
-        l, m = support[idx]
-        top = rem_n // l if l > 0 else size_cap - size
-        for e in range(top, 0, -1):
-            stack.append((idx + 1, rem_n - l * e, size + e, y_weight + m * e,
-                          chosen + ((idx, e),)))
-        stack.append((idx + 1, rem_n, size, y_weight, chosen))
+    for chosen, size in _exponent_vectors(support, n, size_cap, budget):
+        yield CompositionVector(tuple((support[t], e) for t, e in chosen), size, n, size - 1)
 
 
 def fs_coefficient(Q: ReducedHenselEq, n: int, *,
@@ -234,15 +290,16 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *,
     cap = n if Q.no_pure_x_powers else 2 * n - 1
     # the coefficients as integer numerators over one denominator D, so a
     # vector of size m contributes an integer over m * D^m
+    support = Q.support
     coeffs = Q.terms
     D = lcm(*(v.denominator for v in coeffs.values()))
-    nums = {key: v.numerator * (D // v.denominator) for key, v in coeffs.items()}
+    nums = [coeffs[key].numerator * (D // coeffs[key].denominator) for key in support]
     by_size: dict[int, int] = {}
-    for vec in compositions(Q, n, cap, budget):
-        term = multinomial([e for _, e in vec.exponents])
-        for key, e in vec.exponents:
-            term *= nums[key] ** e
-        by_size[vec.size] = by_size.get(vec.size, 0) + term
+    for chosen, size in _exponent_vectors(support, n, cap, budget):
+        term = multinomial([e for _, e in chosen])
+        for t, e in chosen:
+            term *= nums[t] ** e
+        by_size[size] = by_size.get(size, 0) + term
     return sum((Fraction(acc, m * D ** m) for m, acc in by_size.items()), Fraction(0))
 
 
@@ -271,8 +328,8 @@ def _slots(i: int, j: int, k: int, i_k: int) -> list[tuple[int, tuple[int, ...],
     """
     out = []
     for m in range(0, j + 1):
-        # lexicographic spread order keeps the slot order, on which the
-        # pruning of _e_from_slots (and so its node count) depends
+        # the walks' pruning, and so their node counts, depend on this
+        # order: m rising (so |L| falling), spreads lexicographic
         spreads = sorted(L for w in range(max(0, 1 - m * (k + 1) - i + i_k),
                                           (k + 1) * (j - m) + 1)
                          for L in weighted_compositions(k + 1, j - m, w))
@@ -382,22 +439,77 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
                          guard, budget)
 
 
-def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
-                            omega0, p: int, *,
-                            budget: EnumerationBudget | None = None) -> Fraction:
-    """Tail coefficient c_{k+1+p} of the simple root of P with initial part
-    c_1..c_{k+1}, computed literally from the closed form.
+def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int, int, int, int]]],
+               size: int, rise: int, fall: int, budget: EnumerationBudget) -> dict[int, int]:
+    """Sums of q!/prod(n!) * prod(value^n) over the assignments of the item
+    exponents to their slots whose spreads have total size ``size`` and
+    total weight in a window [wlo, whi], keyed by the rise left over.
 
-    Outer sum over q = 1..p weighted by (1/q)(-1/omega0)^q; middle sum over
-    coefficient multi-exponents S of P with |S| = q and y-weight at least
-    q - 1; inner sum over seed multi-exponents T with |T| = yw(S) - q + 1
-    and weighted size p + q*i_k - (q-1)(k+1) - xw(S); innermost the integer
-    weights of ``e_coefficient``.  Requires k at least one past the
-    branch-separation index; ``i_k`` and ``omega0`` are the Hensel-form
-    data of the same root.  An empty enumeration contributes 0.
+    Item t has exponent exponents[t] >= 1 and a nonempty slot list
+    item_slots[t] of (|L|, ||L|| - |L|, (k+1)|L| - ||L||, value), along
+    which |L| never rises.  ``rise`` is whi - size and ``fall`` is
+    (k+1) * size - wlo; a complete assignment has weight whi - (rise left).
     """
-    if p < 1:
-        raise InputError("tail index must be at least 1")
+    fq = factorial(sum(exponents))
+    last = len(exponents) - 1
+    ends = [len(slots) - 1 for slots in item_slots]
+    # rest[t]: the most size the items after t can take, from their first
+    # (largest) slots
+    rest = [0] * (last + 1)
+    for t in range(last, 0, -1):
+        rest[t - 1] = rest[t] + exponents[t] * item_slots[t][0][0]
+    room = budget.limit - budget.used
+    nodes = 0
+    acc: dict[int, int] = {}
+    # a node puts n copies of one slot into the assignment; a frame is (item
+    # index, slot index, exponent left for the item, size, rise and fall
+    # left, prod n!, prod value^n), and an item's last slot takes all that
+    # is left of its exponent.  A frame is pushed only while the size left
+    # fits in what its item and the later ones can still take.
+    stack = [(0, 0, exponents[0], size, rise, fall, 1, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item, slot, left, size, rise, fall, denom, prod = pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        s, r, f, value = item_slots[item][slot]
+        if slot < ends[item]:
+            slot += 1
+            nxt = item_slots[item][slot][0]
+            after = rest[item]
+            if size <= left * nxt + after:
+                push((item, slot, left, size, rise, fall, denom, prod))
+            for n in range(1, left + 1):
+                size -= s
+                rise -= r
+                fall -= f
+                if size | rise | fall < 0:
+                    break
+                if size <= (left - n) * nxt + after:
+                    push((item, slot, left - n, size, rise, fall, denom * factorial(n),
+                          prod * value ** n))
+            continue
+        if left:
+            size -= left * s
+            rise -= left * r
+            fall -= left * f
+            if size | rise | fall < 0:
+                continue
+            denom *= factorial(left)
+            prod *= value ** left
+        if item < last:
+            if size <= rest[item]:
+                push((item + 1, 0, exponents[item + 1], size, rise, fall, denom, prod))
+        elif not size:
+            acc[rise] = acc.get(rise, 0) + fq // denom * prod
+    budget.spend(nodes)
+    return acc
+
+
+def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
+                 first: int, last: int, budget: EnumerationBudget | None) -> list[Fraction]:
+    """c_{k+1+p} for p = first..last in one walk (see the module docstring)."""
     if k < 1:
         raise InputError("k must be at least 1")
     if len(c) < k + 1:
@@ -414,25 +526,35 @@ def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
     D = lcm(*(v.denominator for v in seed))
     nums = [v.numerator * (D // v.denominator) for v in seed]
     A = lcm(*(a.denominator for _, a in support))
-    # |T| and every single subtraction of a spread are at most q * dy <= p * dy
-    width, guard = _layout(k + 1, p * max((j for (_, j), _ in support), default=0))
-    # per term of P: i, j, its numerator over A, its slots as (packed spread, base)
-    usable: list[tuple[int, int, int, list[tuple[int, int]]]] = []
+    # per term of P: i, j, its numerator over A, and its slots as
+    # (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v)
+    usable: list[tuple[int, int, int, list[tuple[int, int, int, int]]]] = []
     for (i, j), a in support:
         slots = _slots(i, j, k, i_k)
         budget.spend(len(slots) + 1)
-        usable.append((i, j, a.numerator * (A // a.denominator),
-                       [(_pack(L, width), base) for _m, L, base in slots]))
+        table = []
+        for _m, L, value in slots:
+            size = weight = 0
+            for v, t in enumerate(L):
+                if t:
+                    size += t
+                    weight += (v + 1) * t
+                    value *= nums[v] ** t
+            table.append((size, weight - size, (k + 1) * size - weight, value))
+        usable.append((i, j, a.numerator * (A // a.denominator), table))
     terms = len(usable)
 
-    total = Fraction(0)
-    for q in range(1, p + 1):
-        p_star = p + q * i_k - (q - 1) * (k + 1)
-        if p_star < 0:
+    # (p, q, |T|) -> integer numerator over q * A^q * D^|T|
+    sums: dict[tuple[int, int, int], int] = {}
+    for q in range(1, last + 1):
+        # p_star = p + shift is the weighted size ||T|| + xw(S) for index p
+        shift = q * i_k - (q - 1) * (k + 1)
+        hi_star = last + shift
+        if hi_star < 0:
             continue
-        # |T| -> sum over the S with that |T| of the integer
-        # prod(numerator^s) * sum_T e(S, T) * prod(n_v^t_v)
-        by_size: dict[int, int] = {}
+        lo_star = max(first, q) + shift
+        # |T| = yw(S) - q + 1 <= ||T|| <= hi_star - xw(S) bounds xw + yw
+        cap = hi_star + q - 1
         room = budget.limit - budget.used
         nodes = 0
         # frames (term index, |S| left, x-weight, y-weight, nonzero (index, s) pairs)
@@ -446,43 +568,75 @@ def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
             if idx < terms:
                 i, j, _num, slots = usable[idx]
                 top = left if slots else 0
-                if i and (p_star - s1) // i < top:
-                    top = (p_star - s1) // i
+                if i and (hi_star - s1) // i < top:
+                    top = (hi_star - s1) // i
+                if i + j and (cap - s1 - s2) // (i + j) < top:
+                    top = (cap - s1 - s2) // (i + j)
                 for e in range(top, 0, -1):
                     push((idx + 1, left - e, s1 + i * e, s2 + j * e, chosen + ((idx, e),)))
                 push((idx + 1, left, s1, s2, chosen))
                 continue
             if left or s2 < q - 1:
                 continue
+            # |T| is fixed by S, and ||T|| = p_star - xw(S) names the index p
             tot = s2 - q + 1
-            wgt = p_star - s1
-            if tot == 0:
-                if wgt != 0:
-                    continue
-            elif not tot <= wgt <= (k + 1) * tot:
+            whi = min(hi_star - s1, (k + 1) * tot)
+            wlo = max(lo_star - s1, tot)
+            if wlo > whi:
                 continue
-            # the walks below charge the budget themselves
+            # the slot walk charges the budget itself
             budget.spend(nodes)
             nodes = 0
-            exponents = [e for _, e in chosen]
-            item_slots = [usable[t][3] for t, _ in chosen]
-            inner = 0
-            for T in weighted_compositions(k + 1, tot, wgt):
-                budget.spend()
-                e = _e_from_slots(exponents, item_slots, guard + _pack(T, width), guard, budget)
-                if e:
-                    for v, t in enumerate(T):
-                        if t:
-                            e *= nums[v] ** t
-                    inner += e
+            by_rise = _slot_walk([e for _, e in chosen], [usable[t][3] for t, _ in chosen],
+                                 tot, whi - tot, (k + 1) * tot - wlo, budget)
             room = budget.limit - budget.used
-            if inner:
+            if by_rise:
+                coeff = 1
                 for t, e in chosen:
-                    inner *= usable[t][2] ** e
-                by_size[tot] = by_size.get(tot, 0) + inner
+                    coeff *= usable[t][2] ** e
+                for rise, value in by_rise.items():
+                    key = (whi - rise + s1 - shift, q, tot)
+                    sums[key] = sums.get(key, 0) + coeff * value
         budget.spend(nodes)
-        # every seed monomial of one |T| shares the denominator D^|T|, and
-        # every coefficient monomial of one q the denominator A^q
-        acc_q = sum((Fraction(v, D ** tot) for tot, v in by_size.items()), Fraction(0))
-        total += Fraction(-1) ** q / (q * w0 ** q * A ** q) * acc_q
-    return total
+    # every seed monomial of one |T| shares the denominator D^|T|, and every
+    # coefficient monomial of one q the denominator A^q
+    out = [Fraction(0)] * (last - first + 1)
+    for (p, q, tot), value in sums.items():
+        out[p - first] += Fraction(-value if q % 2 else value, q * A ** q * D ** tot) / w0 ** q
+    return out
+
+
+def closed_form_coefficients(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
+                             count: int, *,
+                             budget: EnumerationBudget | None = None) -> list[Fraction]:
+    """Tail coefficients c_{k+2}..c_{k+1+count} of the simple root of P with
+    initial part c_1..c_{k+1}, computed literally from the closed form in
+    one walk over the coefficient multi-exponents S and slot assignments.
+
+    Requires k at least one past the branch-separation index; ``i_k`` and
+    ``omega0`` are the Hensel-form data of the same root.  Each value equals
+    ``closed_form_coefficient`` at its index.
+    """
+    if count < 1:
+        raise InputError("count must be at least 1")
+    return _closed_form(P, c, k, i_k, omega0, 1, count, budget)
+
+
+def closed_form_coefficient(P: BivarPoly, c: Sequence, k: int, i_k: int,
+                            omega0, p: int, *,
+                            budget: EnumerationBudget | None = None) -> Fraction:
+    """Tail coefficient c_{k+1+p} of the simple root of P with initial part
+    c_1..c_{k+1}, computed literally from the closed form.
+
+    Outer sum over q = 1..p weighted by (1/q)(-1/omega0)^q; middle sum over
+    coefficient multi-exponents S of P with |S| = q and y-weight at least
+    q - 1; inner sum over seed multi-exponents T with |T| = yw(S) - q + 1
+    and weighted size p + q*i_k - (q-1)(k+1) - xw(S), each weighted by the
+    integer ``e_coefficient``.  The inner two sums run as one walk over
+    slot assignments.  Requires k at least one past the branch-separation
+    index; ``i_k`` and ``omega0`` are the Hensel-form data of the same
+    root.  An empty enumeration contributes 0.
+    """
+    if p < 1:
+        raise InputError("tail index must be at least 1")
+    return _closed_form(P, c, k, i_k, omega0, p, p, budget)[0]

@@ -205,3 +205,23 @@ def test_long_seed_expansion_exits_cleanly(tmp_path, capsys):
     assert obj["coefficients"] == {m: ["1", "1", "1"] for m in ("newton", "fs", "closed")}
     _ok("long-seed", f"expand --method all from 1100 coefficients in "
                      f"{time.perf_counter() - start:.2f} s, all three methods agree")
+
+
+def test_e4_from_a_51_term_seed_under_the_default_budget(tmp_path, capsys, monkeypatch):
+    # the north star's k ~ 50: the closed form's one walk per request fits
+    # the default node budget, and all three routes give Newton's values
+    monkeypatch.delenv("ALGSERIES_BUDGET", raising=False)
+    lift = newton_lift(E4_POLY, [1], 54).series
+    poly = tmp_path / "poly.json"
+    poly.write_text(dumps(poly_to_obj(E4_POLY)))
+    seed = tmp_path / "seed.json"
+    seed.write_text(dumps({"coefficients": [str(c) for c in lift.one_based()[:51]]}))
+    start = time.perf_counter()
+    code = main(["expand", "--poly", str(poly), "--seed", str(seed), "--count", "3",
+                 "--method", "all"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and obj["agree"] is True and obj["k"] == 50
+    want = [str(lift.coefficient(n)) for n in (52, 53, 54)]
+    assert obj["coefficients"] == {m: want for m in ("newton", "fs", "closed")}
+    _ok("long-seed", f"expand --method all on e4 from 51 coefficients in "
+                     f"{time.perf_counter() - start:.2f} s, all three methods agree")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algseries import (BivarPoly, InputError, TruncatedSeries, eval_at_poly,
+from algseries import (BivarPoly, InputError, TruncatedSeries, bivar, eval_at_poly,
                        eval_at_series, shift_substitute, substitute_shift,
                        substitute_tail, uni_order)
 from conftest import E4_POLY, HIGH_RATIONALS, coefficient_lists, rational
@@ -172,6 +172,31 @@ def test_terms_past_the_cut_contribute_nothing():
     assert out.coefficients() == (1, 1, 1)
     with pytest.raises(InputError):
         eval_at_poly(P, [F(1)], -1)
+
+
+def test_powers_stop_at_the_cut_without_a_constant_term(monkeypatch):
+    # y - x + y^d at d > n: with y(0) = 0, y^d vanishes mod x^(n+1), so the
+    # powers stop at n and the value is the uncapped one
+    tops = []
+    real = bivar._powers
+    monkeypatch.setattr(bivar, "_powers", lambda y, top, n: tops.append((top, n)) or
+                        real(y, top, n))
+    z = [F(1), F(-2, 3), F(5)]
+    for d in (7, 12, 40, 1000):
+        P = BivarPoly({(0, 1): 1, (1, 0): -1, (0, d): 1})
+        for n in (0, 3, 6):
+            got = eval_at_poly(P, z, n)
+            assert got == eval_at_poly(BivarPoly({(0, 1): 1, (1, 0): -1}), z, n)
+            if d <= 40:
+                assert got == _trim(_cut(_naive_eval(P, [F(0)] + z), n))
+    assert tops and all(top <= n for top, n in tops)
+    # a constant term keeps every power: y^d reaches x^0
+    tops.clear()
+    P = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 12): 1})
+    y = [F(2), F(1), F(-1)]
+    out = eval_at_series(P, TruncatedSeries(y, start=0), 2)
+    assert out.coefficients() == tuple(_cut(_naive_eval(P, y), 2))
+    assert tops == [(12, 2)]
 
 
 def test_substitute_tail_general_exponent():

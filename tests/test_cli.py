@@ -244,17 +244,17 @@ def test_budget_exit_three(files, capsys):
 
 
 def test_budget_at_and_one_below_the_node_count(files, capsys):
-    # the closed form visits 7575 nodes for c_3..c_8 of e4: that budget
+    # the closed form visits 2221 nodes for c_3..c_8 of e4: that budget
     # answers, one node fewer exits 3
     argv = ["expand", "--poly", files["poly"], "--seed", files["seed"],
             "--count", "6", "--method", "closed", "--budget"]
-    assert main(argv + ["7575"]) == 0
+    assert main(argv + ["2221"]) == 0
     assert capsys.readouterr().out == (
         '{"coefficients": ["0", "-1", "-1/2", "1", "1", "-1"], "i_k": 3, "k": 1, "k0": 0, '
         '"method": "closed", "omega0": "2", "seed": ["1", "1"]}\n')
-    assert main(argv + ["7574"]) == 3
+    assert main(argv + ["2220"]) == 3
     assert capsys.readouterr().out == \
-        '{"detail": "enumeration exceeded 7574 nodes", "error": "BudgetError"}\n'
+        '{"detail": "enumeration exceeded 2220 nodes", "error": "BudgetError"}\n'
 
 
 def test_budget_exit_three_with_long_seed(files, capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import warnings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        ReducedHenselEq, TruncatedSeries, bivar, branch_data,
-                       closed_form_coefficient, compositions, e_coefficient,
+                       closed_form_coefficient, closed_form_coefficients,
+                       compositions, e_coefficient,
                        eval_at_series, fixed_point_expand, fs_coefficient,
                        fs_expand, henselize, newton_lift, series, weighted_compositions)
 from algseries.flajolet_soria import _e_from_slots, _layout, _pack, _slots, multinomial
@@ -211,9 +213,21 @@ def test_closed_form_e4_fixture():
 
 def test_closed_form_node_counts_on_e4():
     # the slot order fixes the pruning, and so the number of nodes visited
-    for p, nodes in [(6, 4077), (8, 14512), (10, 43895)]:
+    for p, nodes in [(6, 1629), (8, 4765), (10, 12026)]:
         budget = EnumerationBudget()
         closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, p, budget=budget)
+        assert budget.used == nodes
+    # one walk for c_3..c_8 costs less than the six walks of one index each
+    budget = EnumerationBudget()
+    closed_form_coefficients(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
+    assert budget.used == 2221
+
+
+def test_reference_closed_form_node_counts_on_e4():
+    # the literal walk, one T at a time, visits these nodes for one index
+    for p, nodes in [(6, 4077), (8, 14512), (10, 43895)]:
+        budget = EnumerationBudget()
+        reference_closed_form(E4_POLY, [1, 1], 1, 3, 2, p, budget)
         assert budget.used == nodes
 
 
@@ -248,6 +262,8 @@ def _assert_triple_agreement(cases):
             coeffs = list(lift.series.one_based())[: k + 1]
             i_k = bd.i_k0 + (k - bd.k0)
             form = henselize(P, lift.series, k)
+            assert closed_form_coefficients(P, coeffs, k, i_k, bd.omega0, terms) == \
+                [lift.series.coefficient(k + 1 + p) for p in range(1, terms + 1)]
             for p in range(1, terms + 1):
                 newton_c = lift.series.coefficient(k + 1 + p)
                 closed_c = closed_form_coefficient(P, coeffs, k, i_k, bd.omega0, p)
@@ -353,15 +369,15 @@ def test_denominator_structure_on_integer_data():
 
 
 def test_closed_form_budget_is_exact_on_e4():
-    # p = 6 visits 4077 nodes: that many are enough, one fewer is not
-    budget = EnumerationBudget(limit=4077)
+    # p = 6 visits 1629 nodes: that many are enough, one fewer is not
+    budget = EnumerationBudget(limit=1629)
     assert closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget) == -1
-    assert budget.used == 4077
-    budget = EnumerationBudget(limit=4076)
+    assert budget.used == 1629
+    budget = EnumerationBudget(limit=1628)
     with pytest.raises(BudgetError) as caught:
         closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
-    assert str(caught.value) == "enumeration exceeded 4076 nodes"
-    assert budget.used == 4077
+    assert str(caught.value) == "enumeration exceeded 1628 nodes"
+    assert budget.used == 1629
 
 
 # -- the packed closed-form kernel against the literal walk it replaces
@@ -561,21 +577,79 @@ SEED_RATIONALS = st.one_of(
               st.one_of(st.integers(1, 2 ** 64), st.sampled_from([2 ** 63, 2 ** 64 - 1, 2 ** 64]))))
 
 
+def _assert_reference_or_budget(walk, expect, limit):
+    """Under any node limit the walk answers the reference value or raises
+    BudgetError for that limit, and nothing else."""
+    budget = EnumerationBudget(limit=limit)
+    try:
+        value = walk(budget)
+    except BudgetError as exc:
+        assert str(exc) == f"enumeration exceeded {limit} nodes"
+        assert budget.used > limit
+    else:
+        assert value == expect
+        assert budget.used <= limit
+
+
+def _assert_matches_reference(P, seed, k, i_k, omega0, expect, limit):
+    # every index of one walk, and each index on its own
+    count = len(expect)
+    _assert_reference_or_budget(
+        lambda budget: closed_form_coefficients(P, seed, k, i_k, omega0, count, budget=budget),
+        expect, limit)
+    for p in range(1, count + 1):
+        _assert_reference_or_budget(
+            lambda budget: closed_form_coefficient(P, seed, k, i_k, omega0, p, budget=budget),
+            expect[p - 1], limit)
+
+
 @settings(max_examples=60, deadline=None)
 @given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                              SMALL_RATIONALS.filter(bool), min_size=1, max_size=4),
-       seed=st.lists(SEED_RATIONALS, min_size=3, max_size=3),
-       k=st.integers(1, 2), i_k=st.integers(0, 5), p=st.integers(1, 4),
+       seed=st.lists(SEED_RATIONALS, min_size=5, max_size=5),
+       k=st.integers(1, 4), i_k=st.integers(0, 5), count=st.integers(1, 4),
        omega0=SMALL_RATIONALS.filter(bool), limit=st.integers(1, 20000))
-def test_closed_form_matches_literal_closed_form(terms, seed, k, i_k, p, omega0, limit):
+def test_closed_form_matches_literal_closed_form(terms, seed, k, i_k, count, omega0, limit):
     # the closed form is a polynomial in P's coefficients and the seed, so
     # it is compared on any data, not only on roots; rational seeds with
     # denominators up to 2^64 run the one-denominator-per-|T| path
     P = BivarPoly(terms)
-    got = _outcome(lambda budget: closed_form_coefficient(P, seed, k, i_k, omega0, p,
-                                                          budget=budget), limit=limit)
-    assert got == _outcome(lambda budget: reference_closed_form(P, seed, k, i_k, omega0, p,
-                                                                budget), limit=limit)
+    expect = [reference_closed_form(P, seed, k, i_k, omega0, p,
+                                    EnumerationBudget(limit=10 ** 9))
+              for p in range(1, count + 1)]
+    assert closed_form_coefficients(P, seed, k, i_k, omega0, count) == expect
+    _assert_matches_reference(P, seed, k, i_k, omega0, expect, limit)
+
+
+@functools.cache
+def _late_and_rational_roots():
+    """(P, seed, k, i_k, omega0, reference c_{k+2}..c_{k+4}) on roots that
+    separate late (k0 = 1..3) and on rescaled roots with rational data."""
+    rng = random.Random(41)
+    scales = [(F(2, 3), F(5, 7)), (F(-1, 4), F(3)), (F(7, 5), F(-1, 2 ** 20))]
+    roots = late_branch_instances(rng, 6)
+    roots += [_rescaled(P, seed, *scales[n % 3])
+              for n, (P, seed, _bd) in enumerate(late_branch_instances(rng, 3))]
+    roots += [_rescaled(P, seed, *scales[n % 3])
+              for n, (P, seed, _bd) in enumerate(liftable_instances(rng, 3))]
+    out = []
+    for P, seed, bd in roots:
+        k = bd.k0 + 1
+        coeffs = list(newton_lift(P, seed, k + 1).series.one_based())
+        i_k = bd.i_k0 + 1
+        expect = [reference_closed_form(P, coeffs, k, i_k, bd.omega0, p,
+                                        EnumerationBudget(limit=10 ** 9))
+                  for p in (1, 2, 3)]
+        out.append((P, coeffs, k, i_k, bd.omega0, expect))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 11), limit=st.integers(1, 70000))
+def test_closed_form_matches_literal_closed_form_on_roots(case, limit):
+    P, seed, k, i_k, omega0, expect = _late_and_rational_roots()[case]
+    assert closed_form_coefficients(P, seed, k, i_k, omega0, 3) == expect
+    _assert_matches_reference(P, seed, k, i_k, omega0, expect, limit)
 
 
 def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
@@ -593,6 +667,7 @@ def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
     def values():
         out = []
         for P, coeffs, k, i_k, omega0, eq in cases:
+            out.append(closed_form_coefficients(P, coeffs, k, i_k, omega0, 3))
             for p in (1, 2, 3):
                 out.append(closed_form_coefficient(P, coeffs, k, i_k, omega0, p))
                 if eq is not None:
