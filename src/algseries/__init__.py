@@ -18,7 +18,7 @@ from .flajolet_soria import (CompositionVector, EnumerationBudget, ReducedHensel
 from .henselization import (BranchData, HenselForm, OrderTrace, branch_data,
                             coefficient_after_branch, henselize, omega0_closed,
                             order_sequence)
-from .newton import LiftReport, fixed_point_expand, newton_lift
+from .newton import LiftReport, newton_lift
 from .series import TruncatedSeries, series_div, series_pow
 from .support import (PuiseuxMeta, SupportShape, antilex_key, full_support,
                       puiseux_support_constraints)
@@ -38,7 +38,7 @@ __all__ = [
     "certify", "closed_form_coefficient", "closed_form_coefficients",
     "coefficient_after_branch",
     "compositions", "e_coefficient", "eval_at_poly", "eval_at_series",
-    "fixed_point_expand", "fs_coefficient", "fs_expand",
+    "fs_coefficient", "fs_expand",
     "full_support", "henselize", "is_algebraic_rel", "newton_lift",
     "omega0_closed", "order_sequence", "puiseux_support_constraints",
     "reconstruct", "series_div", "series_pow", "shift_substitute",

@@ -119,42 +119,45 @@ class BivarPoly:
         return BivarPoly({k: Fraction(sign * v, content) for k, v in ints.items()})
 
 
-def _powers(y: Sequence[Fraction], top: int, n: int) -> tuple[int, list[list[int]]]:
-    """(d, [Y^0, .., Y^top]) with y = Y / d: integer numerator lists of the
-    powers of the dense series y, the j-th over d^j, each cut after x^n.
-    Even powers are squares, the cheaper product."""
-    d, ints = _clear(y)
+def _powers(Y: list[int], top: int, n: int) -> list[list[int]]:
+    """[Y^0, .., Y^top] for the integer coefficient list Y, each cut after
+    x^n.  Even powers are squares, the cheaper product."""
     powers = [[1]]
     for j in range(1, top + 1):
         half = powers[j // 2]
-        powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], ints, n))
-    return d, powers
+        powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], Y, n))
+    return powers
 
 
-def _evaluate(P: BivarPoly, y: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Dense P(x, y(x)) modulo x^(n+1), n + 1 entries, for a dense y.
+def _evaluate(d: int, Y: list[int], cuts: Sequence[tuple[BivarPoly, int]]
+              ) -> list[tuple[int, list[int]]]:
+    """(den, N) with P(x, Y(x) / d) = N / den modulo x^(n+1), N of n + 1
+    integers, for each (P, n) in ``cuts``, all on one set of powers of Y.
 
-    One integer pass: with y = Y / d and L the common denominator of P,
-    each term a x^i y^j adds (a L) d^(top - j) Y^j to the numerators over
-    L d^top, and each output coefficient becomes one Fraction at the end.
-    When y has no constant term, y^j vanishes mod x^(n+1) for j > n, so
-    the powers stop at top = min(y-degree, n) and those terms are skipped.
+    With L the common denominator of P, each term a x^i y^j adds
+    (a L) d^(top - j) Y^j to the numerators over L d^top.  When Y has no
+    constant term, Y^j vanishes mod x^(n+1) for j > n, so the powers stop
+    at top = min(y-degree, largest n) and those terms are skipped.
     """
-    top = P.y_degree
-    if not (y and y[0]):
-        top = min(top, n)
-    d, powers = _powers(y, top, n)
-    den = lcm(*(a.denominator for a in P._terms.values()))
-    out = [0] * (n + 1)
-    for (i, j), a in P._terms.items():
-        if i > n or j > top:
-            continue  # the whole term lies past the cut
-        scale = a.numerator * (den // a.denominator) * d ** (top - j)
-        for m, c in enumerate(powers[j][: n + 1 - i], i):
-            if c:
-                out[m] += scale * c
-    den *= d ** top
-    return [Fraction(c, den) for c in out]
+    n_max = max(n for _, n in cuts)
+    top = max(P.y_degree for P, _ in cuts)
+    if not (Y and Y[0]):
+        top = min(top, n_max)
+    powers = _powers(Y, top, n_max)
+    out = []
+    for P, n in cuts:
+        top_p = min(P.y_degree, top)
+        den = lcm(*(a.denominator for a in P._terms.values()))
+        acc = [0] * (n + 1)
+        for (i, j), a in P._terms.items():
+            if i > n or j > top_p:
+                continue  # the whole term lies past the cut
+            scale = a.numerator * (den // a.denominator) * d ** (top_p - j)
+            for m, c in enumerate(powers[j][: n + 1 - i], i):
+                if c:
+                    acc[m] += scale * c
+        out.append((den * d ** top_p, acc))
+    return out
 
 
 def eval_at_poly(P: BivarPoly, z: Sequence, precision: int | None = None) -> list[Fraction]:
@@ -168,15 +171,16 @@ def eval_at_poly(P: BivarPoly, z: Sequence, precision: int | None = None) -> lis
         precision = P.x_degree + P.y_degree * len(z)
     if precision < 0:
         raise InputError("precision must be a natural number")
-    return _utrim(_evaluate(P, [Fraction(0)] + [_frac(c) for c in z], precision))
+    [(den, out)] = _evaluate(*_clear([Fraction(0)] + [_frac(c) for c in z]), [(P, precision)])
+    return _utrim([Fraction(c, den) for c in out])
 
 
 def substitute_tail(P: BivarPoly, z: Sequence, e: int) -> BivarPoly:
     """Exact expansion of P(x, z(x) + x^e * y) as a bivariate polynomial."""
     if e < 1:
         raise InputError("substitution exponent must be at least 1")
-    dense = [Fraction(0)] + [_frac(c) for c in z]
-    d, powers = _powers(dense, P.y_degree, len(z) * P.y_degree)
+    d, ints = _clear([Fraction(0)] + [_frac(c) for c in z])
+    powers = _powers(ints, P.y_degree, len(z) * P.y_degree)
     out: dict[tuple[int, int], Fraction] = {}
     for (i, j), a in P._terms.items():
         for m in range(j + 1):
@@ -226,4 +230,5 @@ def eval_at_series(P: BivarPoly, y: TruncatedSeries, precision: int) -> Truncate
         raise PrecisionError(
             f"series precision {y.precision} below requested {precision}"
         )
-    return TruncatedSeries._from_dense(_evaluate(P, y.coefficients()[: precision + 1], precision))
+    [(den, out)] = _evaluate(*_clear(y.coefficients()[: precision + 1]), [(P, precision)])
+    return TruncatedSeries._from_dense([Fraction(c, den) for c in out])

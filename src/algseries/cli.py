@@ -175,6 +175,8 @@ def _cmd_certify(args) -> tuple[dict, int]:
 def _cmd_oracle(args) -> tuple[dict, int]:
     P = poly_from_obj(load_json(args.poly))
     seed = series_from_obj(load_json(args.seed))
+    if args.count < 1:
+        raise InputError("count must be at least 1")
     report = newton_lift(P, seed.one_based(), args.count)
     return series_to_obj(report.series), EXIT_OK
 
@@ -245,60 +247,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="algseries",
-        description="exact toolkit for algebraic power series",
-    )
+    parser = _Parser(prog="algseries", description="exact toolkit for algebraic power series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, handler, **options):
+        p = sub.add_parser(name, help=help)
+        for option, kind in options.items():
+            p.add_argument(f"--{option}", **kind)
         p.add_argument("--output", "-o", help="write the JSON result to this path")
         p.add_argument("--budget", type=int, default=None,
                        help=f"enumeration node budget (default {DEFAULT_NODE_BUDGET}, "
                             f"env {BUDGET_ENV})")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("expand", help="tail coefficients of a simple root")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--method", choices=["fs", "closed", "newton", "all"], default="all")
-    common(p)
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("implicitize", help="reconstruct a vanishing polynomial")
-    p.add_argument("--series", required=True)
-    p.add_argument("--dx", type=int, required=True)
-    p.add_argument("--dy", type=int, required=True)
-    p.add_argument("--shape", default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_implicitize)
-
-    p = sub.add_parser("henselize", help="reduced Henselian equation of the tail")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_henselize)
-
-    p = sub.add_parser("certify", help="finite-depth vanishing certificate")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--series", required=True)
-    p.add_argument("--dx", type=int, required=True)
-    p.add_argument("--dy", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("oracle", help="Newton lifting of a seeded root")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--count", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("selftest", help="run the built-in fixtures")
-    common(p)
-    p.set_defaults(handler=_cmd_selftest)
-
+    path, number = {"required": True}, {"type": int, "required": True}
+    command("expand", "tail coefficients of a simple root", _cmd_expand, poly=path, seed=path,
+            count=number, method={"choices": ["fs", "closed", "newton", "all"], "default": "all"})
+    command("implicitize", "reconstruct a vanishing polynomial", _cmd_implicitize,
+            series=path, dx=number, dy=number, shape={"default": None})
+    command("henselize", "reduced Henselian equation of the tail", _cmd_henselize,
+            poly=path, seed=path, k=number)
+    command("certify", "finite-depth vanishing certificate", _cmd_certify,
+            poly=path, series=path, dx=number, dy=number)
+    command("oracle", "Newton lifting of a seeded root", _cmd_oracle,
+            poly=path, seed=path, count=number)
+    command("selftest", "run the built-in fixtures", _cmd_selftest)
     return parser
 
 

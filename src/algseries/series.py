@@ -4,9 +4,11 @@ A series is known modulo x^(T+1): exactly the coefficients of x^0..x^T are
 stored, and nothing is claimed beyond that.  ``fractions.Fraction`` is the
 boundary type: every stored coefficient, argument and result is a Fraction
 in canonical reduced form, so every operation here is exact.  Inside the
-kernel (``_mul``, ``series_div``) a coefficient list is integer numerators
+kernel (``_mul``, ``_inverse``) a coefficient list is integer numerators
 over one common denominator, and a product is one multiplication of two
-Kronecker-packed integers.  The valuation is always computed from the
+Kronecker-packed integers.  ``_inverse`` is the one Newton inverse:
+``series_div`` starts it from 1 / v_e, and the Newton lift refines the one
+it carries from step to step.  The valuation is always computed from the
 stored data; a truncation whose stored coefficients all vanish is a
 distinguished state that only promises "order > precision".
 """
@@ -14,7 +16,7 @@ distinguished state that only promises "order > precision".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError, PrecisionError
@@ -235,18 +237,43 @@ def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     return acc
 
 
+def _inverse(dw: int, w: list[int], guess=None) -> tuple[int, list[int]]:
+    """(D, G), G / D = 1 / W mod x^len(w) in lowest terms, for W = w / dw
+    with w[0] != 0, by g <- g - g (W g - 1) from ``guess`` = (D, G), or from
+    1 / w_0 when there is none or it is wrong at x^0.  The precision p of g
+    is read from the order of the residue w G - dw D on every pass, never
+    assumed; a pass keeping every term leaves the residue -(W g - 1)^2, of
+    order 2p, so once 2p >= len(w) it is the last."""
+    n = len(w)
+    D, G = (guess[0], guess[1][:n]) if guess else (1, [0])
+    if w[0] * G[0] != dw * D:
+        c = gcd(dw, w[0]) if w[0] > 0 else -gcd(dw, w[0])
+        D, G = w[0] // c, [dw // c]
+    while True:
+        residue = _int_mul(w, G, n - 1)
+        residue[0] -= dw * D
+        p = next((k for k, c in enumerate(residue) if c), n)
+        if p == n:
+            return D, G
+        size = min(2 * p, n)
+        fix = _int_mul(G, residue[p:size], size - p - 1)
+        G = [c * dw * D for c in G[:size]] + [0] * (size - len(G))
+        for k, c in enumerate(fix, p):
+            G[k] -= c
+        D *= dw * D
+        c = gcd(D, *G)
+        D, G = D // c, [v // c for v in G]
+        if size == n:
+            return D, G
+
+
 def series_div(u: TruncatedSeries, v: TruncatedSeries, precision: int) -> TruncatedSeries:
     """Quotient u/v modulo x^(precision+1), when it is a power series.
 
     Requires ord(v) finite and ord(u) >= ord(v) (or u the zero truncation).
-    Both operands must carry precision + ord(v) coefficients.
-
-    With e = ord(v) and k = ord(u) - e, the quotient is x^k times
-    (u / x^(e+k)) * (v / x^e)^-1, so the inverse is needed only through
-    x^(precision - k).  It is built by Newton's iteration g <- g + g (1 - w g),
-    which doubles the correct terms with two products, and the quotient is
-    one more product; every product is ``_mul``, and Fractions stay the
-    boundary type.
+    Both operands must carry precision + ord(v) coefficients.  With
+    e = ord(v) and k = ord(u) - e, the quotient is x^k (u / x^(e+k)) times
+    ``_inverse`` of v / x^e through x^(precision - k).
     """
     e = v.valuation
     if e is None:
@@ -261,12 +288,7 @@ def series_div(u: TruncatedSeries, v: TruncatedSeries, precision: int) -> Trunca
     m = precision - k  # the inverse is needed through x^m
     if m < 0:
         return TruncatedSeries._from_dense([Fraction(0)] * (precision + 1))
-    w = v.coefficients()[e: e + m + 1]
-    inverse = [1 / w[0]]
-    while len(inverse) <= m:
-        size = min(2 * len(inverse), m + 1)
-        # w g = 1 + x^len(g) r, so g - x^len(g) g r is correct through x^(size-1)
-        residue = _mul(w[:size], inverse, size - 1)[len(inverse):]
-        inverse += [-c for c in _mul(inverse, residue, size - len(inverse) - 1)]
-    shifted = u.coefficients()[e + k: e + precision + 1]
-    return TruncatedSeries._from_dense([Fraction(0)] * k + _mul(shifted, inverse, m))
+    D, G = _inverse(*_clear(v.coefficients()[e: e + m + 1]))
+    du, shifted = _clear(u.coefficients()[e + k: e + precision + 1])
+    quotient = [Fraction(c, du * D) for c in _int_mul(shifted, G, m)]
+    return TruncatedSeries._from_dense([Fraction(0)] * k + quotient)

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import strategies as st
 
-from algseries import (BivarPoly, SupportShape, TruncatedSeries, branch_data,
-                       coefficient_after_branch)
+from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data,
+                       coefficient_after_branch, eval_at_series)
 
 # P = y^2 + x^2 y^2 - 2 x^2 y - x^2, simple root starting 1, 1, 0, -1, -1/2, ...
 E4_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 1): -2, (2, 2): 1})
@@ -174,3 +174,19 @@ def extended_seed(P, coeffs):
     if len(coeffs) == bd.k0 + 1:
         coeffs.append(coefficient_after_branch(P, series, bd.k0, bd.i_k0, bd.omega0))
     return bd, coeffs
+
+
+def fixed_point_expand(Q, precision):
+    """Solution of y = Q(x, y) by plain fixed-point iteration.
+
+    Each pass gains at least one order of agreement, so ``precision``
+    passes starting from 0 are enough.  Used as an oracle against the
+    coefficient formulas.
+    """
+    if precision < 1:
+        raise InputError("precision must be at least 1")
+    poly = Q.as_poly()
+    y = TruncatedSeries.zero(precision)
+    for _ in range(precision):
+        y = eval_at_series(poly, y, precision)
+    return y

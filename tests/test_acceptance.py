@@ -15,13 +15,14 @@ import pytest
 
 from algseries import (MinorIndex, NotAlgebraicError, ReducedHenselEq,
                        TruncatedSeries, branch_data, build_slab, certify,
-                       closed_form_coefficient, eval_at_poly, fixed_point_expand,
+                       closed_form_coefficient, eval_at_poly,
                        fs_coefficient, fs_expand, henselize, newton_lift, order_sequence,
                        reconstruct, uni_order, wilczynski_minor)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
 from conftest import (E3_RECONSTRUCTED, E3_SHAPE, E4_POLY, e3_family_instance,
-                      extended_seed, liftable_instances, nonzero_rational, rational)
+                      extended_seed, fixed_point_expand, liftable_instances,
+                      nonzero_rational, rational)
 
 from test_wilczynski import known_order3_minors
 

@@ -64,6 +64,14 @@ def test_oracle_emits_series_file(files, capsys):
     assert obj["coefficients"][:5] == ["1", "1", "0", "-1", "-1/2"]
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_oracle_rejects_count_below_one(files, capsys, count):
+    code, obj = run(capsys, ["oracle", "--poly", files["poly"], "--seed", files["seed"],
+                             "--count", count])
+    assert code == 2 and obj["error"] == "InputError"
+    assert obj["detail"] == "count must be at least 1"
+
+
 def test_oracle_scans_the_branch_once(files, capsys, monkeypatch):
     # newton_lift reads the bare c_1 itself: one scan, and no closed-form
     # extension of the seed

@@ -14,12 +14,12 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        ReducedHenselEq, TruncatedSeries, bivar, branch_data,
                        closed_form_coefficient, closed_form_coefficients,
                        compositions, e_coefficient,
-                       eval_at_series, fixed_point_expand, fs_coefficient,
+                       eval_at_series, fs_coefficient,
                        fs_expand, henselize, newton_lift, series, weighted_compositions)
 from algseries.flajolet_soria import _e_from_slots, _layout, _pack, _slots, multinomial
 from algseries.henselization import _power_coefficient
-from conftest import (E4_POLY, SMALL_RATIONALS, late_branch_instances, liftable_instances,
-                      nonzero_rational, rational)
+from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, late_branch_instances,
+                      liftable_instances, nonzero_rational, rational)
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
 

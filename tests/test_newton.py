@@ -2,16 +2,105 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algseries import (BivarPoly, InputError, LiftError, NotSimpleRootError, PrecisionError,
-                       ReducedHenselEq, TruncatedSeries, bareiss_det, branch_data,
-                       eval_at_poly, fixed_point_expand, newton_lift, uni_order)
+from algseries import (AlgSeriesError, BivarPoly, InputError, LiftError, LiftReport,
+                       NotSimpleRootError, PrecisionError, ReducedHenselEq, TruncatedSeries,
+                       bareiss_det, branch_data, eval_at_poly, newton_lift, series_div,
+                       uni_order)
 from algseries import henselization, newton
-from conftest import (E4_POLY, TANGENT, extended_seed, late_branch_instances, liftable_instances,
-                      rational)
+from algseries.henselization import leaves_branch
+from conftest import (E4_POLY, TANGENT, extended_seed, fixed_point_expand, late_branch_instances,
+                      liftable_instances, rational)
 from test_wilczynski import reference_eliminate
 
 CATALAN_POLY = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 2): -1})  # y - x - y^2
+
+
+def reference_newton_lift(P, seed, precision):
+    """The Fraction loop that the integer kernel replaced: every step
+    evaluates P and dP/dy through x^(target+e) and divides from scratch by
+    ``series_div``.  The reference the lift is tested against."""
+    cs = [F(v) for v in seed]
+    s = len(cs)
+    bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
+    wrong = leaves_branch(P, cs, bd)
+    if wrong is not None:
+        raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
+    if precision < s:
+        raise InputError("target precision below the seed length")
+    e = bd.i_k0 - bd.k0 - 1
+    deriv = P.partial_y()
+    t = s
+    iterations = 0
+    while t < precision:
+        target = min(2 * t - bd.k0, precision)
+        work = target + e
+        u = TruncatedSeries(eval_at_poly(P, cs, work), precision=work, start=0)
+        v = TruncatedSeries(eval_at_poly(deriv, cs, work), precision=work, start=0)
+        if v.valuation != e:
+            raise LiftError(f"order of dP/dy at the prefix is {v.valuation}, expected {e}")
+        q = series_div(u, v, target)
+        cs.extend([F(0)] * (target - t))
+        for n in range(1, target + 1):
+            cs[n - 1] -= q.coefficient(n)
+        t = target
+        iterations += 1
+    if cs[:s] != [F(v) for v in seed]:
+        raise LiftError("lift lost seed coefficients")
+    wrong = leaves_branch(P, cs, bd)
+    if wrong is not None:
+        raise LiftError(f"lifted coefficient c_{wrong} leaves the branch")
+    return LiftReport(TruncatedSeries(cs, precision=precision, start=1), iterations)
+
+
+def _lift_outcome(lift, P, seed, precision):
+    try:
+        return lift(P, seed, precision)
+    except AlgSeriesError as exc:
+        return type(exc), str(exc)
+
+
+def _scaled(P, seed, shift, a, b):
+    """x^shift P(a x, b y) and its root's prefix c_n a^n / b."""
+    terms = {(i + shift, j): c * a ** i * b ** j for (i, j), c in P.terms.items()}
+    return BivarPoly(terms), [c * a ** n / b for n, c in enumerate(seed, 1)]
+
+
+@st.composite
+def lift_cases(draw):
+    """Liftable and late-branch roots, shifted by x^m and rescaled to
+    rational seeds; the seed exact, cut to the branch prefix or below it,
+    or with one coefficient off; targets up to 200."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        P, seed, bd = liftable_instances(rng, 1)[0]
+    else:
+        P, seed, bd = late_branch_instances(rng, 3)[draw(st.integers(0, 2))]
+    ratio = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    a, b = draw(st.one_of(st.just((F(1), F(1))), st.tuples(ratio, ratio)))
+    P, seed = _scaled(P, seed, draw(st.integers(0, 4)), a, b)
+    mode = draw(st.sampled_from(["exact", "prefix", "short", "off"]))
+    if mode == "prefix":
+        seed = seed[: bd.k0 + 1]
+    elif mode == "short":
+        seed = seed[: draw(st.integers(1, bd.k0 + 1))]
+    elif mode == "off":
+        n = draw(st.integers(0, len(seed) - 1))
+        seed[n] += draw(ratio)
+    precision = draw(st.one_of(st.integers(0, 24), st.integers(25, 200)))
+    return P, seed, precision
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=lift_cases())
+def test_lift_matches_reference(case):
+    assert _lift_outcome(newton_lift, *case) == _lift_outcome(reference_newton_lift, *case)
+
+
+def test_lift_matches_reference_on_e4_at_400():
+    assert newton_lift(E4_POLY, [1], 400) == reference_newton_lift(E4_POLY, [1], 400)
 
 
 def test_lift_e4_fixture():
@@ -140,14 +229,20 @@ def test_lift_through_a_high_order_derivative():
 
 def test_lift_rejects_wrong_last_coefficient(monkeypatch):
     # with e = 1 a wrong c_10 leaves P(x, z) of order 11 > 10, so the
-    # certificate has to reach T + e to see it
-    exact = newton.series_div
+    # certificate has to reach T + e to see it.  The last step's tail
+    # product, whose top entry is the numerator of c_10, is put off by one.
+    steps = newton_lift(E4_POLY, [1, 1], 10).iterations
+    exact = newton._int_mul
+    calls = []
 
-    def off_at_top(u, v, n):
-        q = exact(u, v, n)
-        return TruncatedSeries(list(q.one_based()[:-1]) + [q.coefficient(n) + 1], precision=n)
+    def off_at_top(a, b, n):
+        out = exact(a, b, n)
+        calls.append(n)
+        if len(calls) == steps:
+            out[-1] += 1
+        return out
 
-    monkeypatch.setattr(newton, "series_div", off_at_top)
+    monkeypatch.setattr(newton, "_int_mul", off_at_top)
     with pytest.raises(LiftError, match="c_10"):
         newton_lift(E4_POLY, [1, 1], 10)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import InputError, PrecisionError, TruncatedSeries, series_div, series_pow
-from algseries.series import _mul
-from conftest import coefficient_lists
+from algseries.series import _clear, _inverse, _mul
+from conftest import SMALL_RATIONALS, coefficient_lists
 
 
 def test_monomial_power():
@@ -207,3 +207,32 @@ def test_division_with_higher_numerator_order():
     assert series_div(u, TruncatedSeries([2, 1, 0, 0], start=0), 3) == TruncatedSeries.zero(3)
     z = series_div(TruncatedSeries.zero(6), TruncatedSeries([0, 3, 1, 0, 0, 0], start=0), 4)
     assert z == TruncatedSeries.zero(4)
+
+
+def test_division_by_a_rational_leading_coefficient():
+    # v_e = -3/7 starts the inverse at -7/3, a Fraction with both parts > 1
+    v = TruncatedSeries([0, F(-3, 7), F(5, 2), 0, F(1, 9), F(-4, 3), 2, 1], start=0)
+    u = TruncatedSeries([0, 0, F(2, 5), F(-1, 3), 7, 0, F(6, 11), F(1, 2)], start=0)
+    q = series_div(u, v, 6)
+    assert q == _div_recurrence(u, v, 6)
+    assert q.coefficients()[:3] == (0, F(-14, 15), F(-14, 3))
+
+
+def _as_fractions(D, G, n):
+    return [F(c, D) for c in G] + [F(0)] * (n - len(G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.lists(SMALL_RATIONALS, min_size=1, max_size=24).filter(lambda w: w[0]),
+       p=st.integers(0, 24), junk=st.lists(SMALL_RATIONALS, max_size=24), off=SMALL_RATIONALS)
+def test_inverse_reads_the_precision_of_its_guess(w, p, junk, off):
+    # a guess right through x^(p-1) and arbitrary past it, or wrong at x^0
+    # when p = 0, is refined to the inverse computed from 1 / w_0; a guess
+    # short of half the terms needs more than one pass
+    n = len(w)
+    want = _as_fractions(*_inverse(*_clear(w)), n)
+    assert _mul(w, want, n - 1) == [1] + [0] * (n - 1)
+    guess = want[:p] + junk
+    if p == 0:
+        guess = [want[0] + (off or 1)] + junk
+    assert _as_fractions(*_inverse(*_clear(w), _clear(guess)), n) == want
