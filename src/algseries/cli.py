@@ -26,8 +26,9 @@ from .bivar import BivarPoly
 from .errors import (BudgetError, InputError, LiftError, NotAlgebraicError,
                      NotSimpleRootError, PrecisionError)
 from .flajolet_soria import (DEFAULT_NODE_BUDGET, EnumerationBudget,
-                             closed_form_coefficients, fs_coefficient)
+                             closed_form_coefficients, fs_expand)
 from .flajolet_soria import closed_form_coefficient  # unused; bound because bench/tracing.py wraps it
+from .flajolet_soria import fs_coefficient  # unused; bound because bench/tracing.py wraps it
 from .henselization import (branch_data, coefficient_after_branch, henselize, leaves_branch,
                             order_sequence)
 from .newton import newton_lift
@@ -75,7 +76,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
         raise InputError("count must be at least 1")
     budget = _budget_from(args)
     # a seed that stops exactly at the branch index gets its uniquely
-    # determined next coefficient from the closed formula
+    # determined next coefficient from the closed formula; the one scan and
+    # seed check here serve all three routes
     bd = branch_data(P, seed)
     coeffs = list(seed.one_based())
     if len(coeffs) == bd.k0 + 1:
@@ -91,16 +93,15 @@ def _cmd_expand(args) -> tuple[dict, int]:
     methods = ["newton", "fs", "closed"] if args.method == "all" else [args.method]
     for method in methods:
         if method == "newton":
-            report = newton_lift(P, coeffs, k + 1 + args.count)
+            report = newton_lift(P, coeffs, k + 1 + args.count, branch=bd)
             results[method] = [report.series.coefficient(k + 1 + p)
                                for p in range(1, args.count + 1)]
         elif method == "fs":
-            form = henselize(P, base, k)
+            form = henselize(P, base, k, branch=bd)
             if form.polynomial_root is not None:
                 results[method] = [Fraction(0)] * args.count
             else:
-                results[method] = [fs_coefficient(form.eq, p, budget=budget)
-                                   for p in range(1, args.count + 1)]
+                results[method] = list(fs_expand(form.eq, args.count, budget=budget).one_based())
         else:
             results[method] = closed_form_coefficients(P, coeffs, k, i_k, bd.omega0,
                                                        args.count, budget=budget)
@@ -182,7 +183,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
 
 
 def _selftest_checks():
-    from .flajolet_soria import ReducedHenselEq, fs_expand
+    from .flajolet_soria import ReducedHenselEq
 
     e4 = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 1): -2, (2, 2): 1})
 
@@ -199,7 +200,7 @@ def _selftest_checks():
         expect = [Fraction(0), Fraction(-1), Fraction(-1, 2)]
         assert [report.series.coefficient(n) for n in (3, 4, 5)] == expect
         form = henselize(e4, seed, 1)
-        assert [fs_coefficient(form.eq, p) for p in (1, 2, 3)] == expect
+        assert list(fs_expand(form.eq, 3).one_based()) == expect
         got = closed_form_coefficients(e4, [1, 1], 1, 3, 2, 3)
         assert got == expect, got
 

@@ -38,13 +38,26 @@ the Flajolet-Soria one.  The walks take no coefficient from the Hensel
 form or the series kernel, so the two routes stay independent evidence of
 each other.
 
-The slot walk stops an assignment as soon as it cannot end inside the
-window [wlo, whi] of weights the request asks for.  Three quantities
-only fall as slots are taken: the size left, whi - weight - size left, and
-weight + (k+1) * size left - wlo (a unit of size weighs 1..k+1).  The walk
-stops at the first negative one.  Slot sizes never rise along a slot list,
-so it also stops once the size left exceeds what the remaining exponents
-can still take.
+The slot walk places one copy of an item per node, an item's copies
+taking its slots in non-decreasing order, so every assignment is visited
+once and an item's multinomial e!/prod(n!) is built copy by copy;
+q!/prod(e!) is applied once per S.  A branch stops as soon as it cannot end
+inside the window [wlo, whi] of weights the request asks for.  Three
+quantities only fall as slots are taken: the size left, whi - weight -
+size left, and weight + (k+1) * size left - wlo (a unit of size weighs
+1..k+1).  The walk stops at the first negative one.  Slot sizes never rise
+along a slot list, so it also stops once the size left exceeds what the
+remaining copies can still take, and the loop over candidate slots ends
+there.
+
+``fs_coefficient`` and ``fs_expand`` make one walk over the exponent
+vectors of Q for a window of indices [first, last].  A vector needs the
+balance y-weight - size = sum (m - 1) e to end at -1.  A term (l, m) with
+l >= 1 moves it by (m - 1) / l per unit of x-weight, and a term with l = 0
+(so m >= 2) can only raise it, so suffix minima and maxima of that rate
+bound the balance the rest of the support can reach with the x-weight
+left.  A child is pushed only when -1 is within those bounds, so every
+leaf is a vector.
 
 All enumerations run under a node budget and fail fast once it is
 exhausted; the formulas are exponential and must stay interactive.  They
@@ -62,28 +75,8 @@ The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
 denominator D and the coefficients of P to numerators over one A.  A slot's
 monomial is base * prod n_v^L_v over D^|L|, every assignment of one S has
 the same |T|, and every S of one q shares A^q, so a Fraction is made only
-per (p, q, |T|).  ``fs_coefficient`` clears the coefficients of Q the same
-way and makes one Fraction per size m of the exponent vectors.
-
-``e_coefficient`` walks the same slots for one target T.  There the spread
-left to cover is packed into one integer:
-
-- A spread (t_1, ..., t_{k+1}) has one field of ``width`` bits per entry,
-  entry v at bit width * v.  The spread left is held as guard + packed
-  spread, where ``guard`` has the top bit 2^(width - 1) of every field set.
-  Taking a slot's spread L is one subtraction of its packed form, and n
-  copies of it one subtraction of n times that.
-- Width rule: 2^(width - 1) exceeds every entry of the target T and every
-  single subtraction.  The last slot of an item subtracts left * L, and
-  both that and |T| are at most q * dy, so ``e_coefficient`` takes
-  width = (q * dy + max |t|).bit_length() + 1.  A field then starts in
-  [2^(width - 1), 2^width) and, while its entry is r >= 0, one subtraction
-  of at most 2^(width - 1) - 1 leaves it in (0, 2^width).  No borrow or
-  carry crosses into the next field, so the integer difference is the
-  fieldwise one, and a field's guard bit is set exactly when its entry is
-  still >= 0.  "Some entry went negative" is ``remaining & guard !=
-  guard``, and the walk stops there; "covered exactly" is
-  ``remaining == guard``.
+per (p, q, |T|).  The Flajolet-Soria sums clear the coefficients of Q the
+same way and make one Fraction per index n and size m.
 """
 
 from __future__ import annotations
@@ -223,45 +216,75 @@ class CompositionVector:
     y_weight: int
 
 
-def _exponent_vectors(support: Sequence[tuple[int, int]], n: int, size_cap: int,
-                      budget: EnumerationBudget) -> Iterator[tuple[tuple[tuple[int, int], ...],
-                                                                    int]]:
-    """(nonzero (support index, exponent) pairs, size) of the exponent
-    vectors over ``support`` with x-weight exactly n, y-weight one less than
-    the size, and size at most size_cap.
+def _exponent_vectors(support: Sequence[tuple[int, int]], first: int, last: int,
+                      size_cap: int, budget: EnumerationBudget
+                      ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
+    """(nonzero (support index, exponent) pairs, size, x-weight) of the
+    exponent vectors over ``support`` with x-weight in [first, last],
+    y-weight one less than the size, and size at most size_cap.
 
-    Nodes are counted locally against the room the budget has left; the
-    count is charged when it passes that room (which raises), before each
-    vector is yielded and when the walk ends, so ``budget.used`` is exact
-    whenever the caller holds a vector.
+    A child is pushed only when the terms after it can still bring the
+    balance y-weight - size to -1 (see the module docstring), so every leaf
+    is a vector.  Nodes are counted locally against the room the budget has
+    left; the count is charged when it passes that room (which raises),
+    before each vector is yielded and when the walk ends, so
+    ``budget.used`` is exact whenever the caller holds a vector.
     """
+    end = len(support)
+    # bounds[t]: the least and greatest balance rate (m - 1) / l over the
+    # terms from t on with l >= 1, as (numerator, denominator) pairs, or
+    # None when none is left; rises[t]: a term with l = 0 is left
+    bounds: list = [None] * (end + 1)
+    rises = [False] * (end + 1)
+    rates = None
+    for t in range(end - 1, -1, -1):
+        l, m = support[t]
+        rises[t] = rises[t + 1] or not l
+        if l:
+            r = Fraction(m - 1, l)
+            rates = (min(r, rates[0]), max(r, rates[1])) if rates else (r, r)
+            bounds[t] = tuple((f.numerator, f.denominator) for f in rates)
+        else:
+            bounds[t] = bounds[t + 1]
+
+    def reach(t: int, xw: int, bal: int) -> bool:
+        # can the terms from t on, with x-weight last - xw at most and
+        # first - xw at least, move the balance by exactly -1 - bal?
+        need, r_lo, r_hi = -1 - bal, max(0, first - xw), last - xw
+        if bounds[t] is None:
+            return not r_lo and (need == 0 or need > 0 and rises[t])
+        (ln, ld), (hn, hd) = bounds[t]
+        if ln * (r_hi if ln < 0 else r_lo) > need * ld:
+            return False
+        return rises[t] or hn * (r_hi if hn > 0 else r_lo) >= need * hd
+
     room = budget.limit - budget.used
     nodes = 0
-    end = len(support)
     # depth-first from an explicit stack, children pushed in reverse so they
     # are visited in increasing exponent order; a frame is (support index,
-    # x-weight left, size, y-weight, the nonzero (index, exponent) pairs)
-    stack = [(0, n, 0, 0, ())]
+    # x-weight, size, balance, the nonzero (index, exponent) pairs)
+    stack = [(0, 0, 0, 0, ())] if reach(0, 0, 0) else []
     pop, push = stack.pop, stack.append
     while stack:
-        idx, rem_n, size, y_weight, chosen = pop()
+        idx, xw, size, bal, chosen = pop()
         nodes += 1
         if nodes > room:
             budget.spend(nodes)
-        if size > size_cap or y_weight > size_cap - 1:
-            continue
         if idx == end:
-            if rem_n == 0 and size >= 1 and y_weight == size - 1:
-                budget.spend(nodes)
-                nodes = 0
-                yield chosen, size
-                room = budget.limit - budget.used
+            budget.spend(nodes)
+            nodes = 0
+            yield chosen, size, xw
+            room = budget.limit - budget.used
             continue
         l, m = support[idx]
-        top = rem_n // l if l > 0 else size_cap - size
-        for e in range(top, 0, -1):
-            push((idx + 1, rem_n - l * e, size + e, y_weight + m * e, chosen + ((idx, e),)))
-        push((idx + 1, rem_n, size, y_weight, chosen))
+        nxt = idx + 1
+        for e in range((last - xw) // l if l else size_cap - size, 0, -1):
+            grown, moved = size + e, bal + (m - 1) * e
+            # the y-weight grown + moved never falls, so it is capped too
+            if grown <= size_cap and grown + moved < size_cap and reach(nxt, xw + l * e, moved):
+                push((nxt, xw + l * e, grown, moved, chosen + ((idx, e),)))
+        if reach(nxt, xw, bal):
+            push((nxt, xw, size, bal, chosen))
     budget.spend(nodes)
 
 
@@ -270,8 +293,35 @@ def compositions(Q: ReducedHenselEq, n: int, size_cap: int,
     """Exponent vectors over the support of Q with x-weight exactly n,
     y-weight one less than the size, and size at most size_cap."""
     support = Q.support
-    for chosen, size in _exponent_vectors(support, n, size_cap, budget):
+    for chosen, size, _ in _exponent_vectors(support, n, n, size_cap, budget):
         yield CompositionVector(tuple((support[t], e) for t, e in chosen), size, n, size - 1)
+
+
+def _fs_window(Q: ReducedHenselEq, first: int, last: int,
+               budget: EnumerationBudget | None) -> list[Fraction]:
+    """Coefficients of x^first..x^last in the solution of y = Q(x, y), from
+    one walk over the exponent vectors of the whole window."""
+    if budget is None:
+        budget = EnumerationBudget()
+    # every vector of x-weight at most ``last`` meets this size cap (see
+    # fs_coefficient), so it bounds the walk without dropping any
+    cap = last if Q.no_pure_x_powers else 2 * last - 1
+    # the coefficients as integer numerators over one denominator D, so a
+    # vector of size m contributes an integer over m * D^m
+    support = Q.support
+    coeffs = Q.terms
+    D = lcm(*(v.denominator for v in coeffs.values()))
+    nums = [coeffs[key].numerator * (D // coeffs[key].denominator) for key in support]
+    sums: dict[tuple[int, int], int] = {}
+    for chosen, size, n in _exponent_vectors(support, first, last, cap, budget):
+        term = multinomial([e for _, e in chosen])
+        for t, e in chosen:
+            term *= nums[t] ** e
+        sums[n, size] = sums.get((n, size), 0) + term
+    out = [Fraction(0)] * (last - first + 1)
+    for (n, m), acc in sums.items():
+        out[n - first] += Fraction(acc, m * D ** m)
+    return out
 
 
 def fs_coefficient(Q: ReducedHenselEq, n: int, *,
@@ -285,33 +335,16 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *,
     """
     if n < 1:
         raise InputError("coefficient index must be at least 1")
-    if budget is None:
-        budget = EnumerationBudget()
-    cap = n if Q.no_pure_x_powers else 2 * n - 1
-    # the coefficients as integer numerators over one denominator D, so a
-    # vector of size m contributes an integer over m * D^m
-    support = Q.support
-    coeffs = Q.terms
-    D = lcm(*(v.denominator for v in coeffs.values()))
-    nums = [coeffs[key].numerator * (D // coeffs[key].denominator) for key in support]
-    by_size: dict[int, int] = {}
-    for chosen, size in _exponent_vectors(support, n, cap, budget):
-        term = multinomial([e for _, e in chosen])
-        for t, e in chosen:
-            term *= nums[t] ** e
-        by_size[size] = by_size.get(size, 0) + term
-    return sum((Fraction(acc, m * D ** m) for m, acc in by_size.items()), Fraction(0))
+    return _fs_window(Q, n, n, budget)[0]
 
 
 def fs_expand(Q: ReducedHenselEq, precision: int, *,
               budget: EnumerationBudget | None = None) -> TruncatedSeries:
-    """Solution of y = Q(x, y) modulo x^(precision+1)."""
+    """Solution of y = Q(x, y) modulo x^(precision+1), from one walk over
+    the exponent vectors of every index 1..precision."""
     if precision < 1:
         raise InputError("precision must be at least 1")
-    if budget is None:
-        budget = EnumerationBudget()
-    coeffs = [fs_coefficient(Q, n, budget=budget) for n in range(1, precision + 1)]
-    return TruncatedSeries(coeffs, precision=precision, start=1)
+    return TruncatedSeries(_fs_window(Q, 1, precision, budget), precision=precision, start=1)
 
 
 # -- the closed form for the tail coefficients of a simple root
@@ -337,76 +370,6 @@ def _slots(i: int, j: int, k: int, i_k: int) -> list[tuple[int, tuple[int, ...],
     return out
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """sum values[v] * 2^(width * v): one ``width``-bit field per entry."""
-    out = 0
-    for value in reversed(values):
-        out = (out << width) + value
-    return out
-
-
-def _layout(fields: int, bound: int) -> tuple[int, int]:
-    """(width, guard) for packed spreads of ``fields`` entries when no entry
-    and no single subtraction exceeds ``bound``: 2^(width - 1) > bound, and
-    guard sets the top bit of every field."""
-    width = bound.bit_length() + 1
-    return width, _pack([1 << (width - 1)] * fields, width)
-
-
-def _e_from_slots(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int, int]]],
-                  remaining: int, guard: int, budget: EnumerationBudget) -> int:
-    """Sum of q!/prod(n!) * prod(base^n) over all assignments of the item
-    exponents to their slots whose seed spreads add up to exactly the
-    target spread.
-
-    Item t has exponent exponents[t] >= 1 and slots item_slots[t], each a
-    (packed spread, base) pair; ``remaining`` is guard plus the packed
-    target (see the module docstring).
-    """
-    if not exponents:
-        return int(remaining == guard)
-    if not all(item_slots):
-        return 0
-    fq = factorial(sum(exponents))
-    last = len(exponents) - 1
-    ends = [len(slots) - 1 for slots in item_slots]
-    room = budget.limit - budget.used
-    nodes = acc = 0
-    # a node puts n copies of one slot's spread into the spread left to
-    # cover; a frame is (item index, slot index, exponent left for the item,
-    # spread left, prod n!, prod base^n), and an item's last slot takes all
-    # that is left of its exponent
-    stack = [(0, 0, exponents[0], remaining, 1, 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        item, slot, left, remaining, denom, bases = pop()
-        nodes += 1
-        if nodes > room:
-            budget.spend(nodes)
-        L, base = item_slots[item][slot]
-        if slot < ends[item]:
-            slot += 1
-            push((item, slot, left, remaining, denom, bases))
-            for n in range(1, left + 1):
-                remaining -= L
-                if remaining & guard != guard:
-                    break
-                push((item, slot, left - n, remaining, denom * factorial(n), bases * base ** n))
-            continue
-        if left:
-            remaining -= left * L
-            if remaining & guard != guard:
-                continue
-            denom *= factorial(left)
-            bases *= base ** left
-        if item < last:
-            push((item + 1, 0, exponents[item + 1], remaining, denom, bases))
-        elif remaining == guard:
-            acc += fq // denom * bases
-    budget.spend(nodes)
-    return acc
-
-
 def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
                   dx: int, dy: int, *, budget: EnumerationBudget | None = None) -> int:
     """Integer weight of the seed monomial C^T_S inside the A^S term of the
@@ -427,16 +390,50 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
         if s < 0 or i < 0 or j < 0 or i > dx or j > dy:
             raise InputError(f"exponent assignment {key}: {s} outside bounds")
         if s:
-            items.append(((int(i), int(j)), int(s)))
-    T = [int(t) for t in T_S]
-    # q * dy bounds every single subtraction; adding max |t| covers a
-    # negative entry too: it stays negative, so no step passes the guard
-    # test and every step is taken from T itself
-    width, guard = _layout(k + 1, sum(s for _, s in items) * dy + max(map(abs, T), default=0))
-    item_slots = [[(_pack(L, width), base) for _m, L, base in _slots(i, j, k, i_k)]
-                  for (i, j), _ in items]
-    return _e_from_slots([s for _, s in items], item_slots, guard + _pack(T, width),
-                         guard, budget)
+            items.append((_slots(int(i), int(j), k, i_k), int(s)))
+    T = tuple(int(t) for t in T_S)
+    if not items:
+        return int(not any(T))
+    if not all(slots for slots, _ in items):
+        return 0
+    fq = factorial(sum(s for _, s in items))
+    last = len(items) - 1
+    room = budget.limit - budget.used
+    nodes = acc = 0
+    # a node puts n copies of one slot's spread into the spread left to
+    # cover; a frame is (item index, slot index, exponent left for the item,
+    # spread left, prod n!, prod base^n), and an item's last slot takes all
+    # that is left of its exponent
+    stack = [(0, 0, items[0][1], T, 1, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item, slot, left, remaining, denom, bases = pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        slots = items[item][0]
+        _m, L, base = slots[slot]
+        if slot < len(slots) - 1:
+            slot += 1
+            push((item, slot, left, remaining, denom, bases))
+            for n in range(1, left + 1):
+                remaining = tuple(r - t for r, t in zip(remaining, L))
+                if min(remaining) < 0:
+                    break
+                push((item, slot, left - n, remaining, denom * factorial(n), bases * base ** n))
+            continue
+        if left:
+            remaining = tuple(r - left * t for r, t in zip(remaining, L))
+            if min(remaining) < 0:
+                continue
+            denom *= factorial(left)
+            bases *= base ** left
+        if item < last:
+            push((item + 1, 0, items[item + 1][1], remaining, denom, bases))
+        elif not any(remaining):
+            acc += fq // denom * bases
+    budget.spend(nodes)
+    return acc
 
 
 def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int, int, int, int]]],
@@ -450,9 +447,7 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
     which |L| never rises.  ``rise`` is whi - size and ``fall`` is
     (k+1) * size - wlo; a complete assignment has weight whi - (rise left).
     """
-    fq = factorial(sum(exponents))
     last = len(exponents) - 1
-    ends = [len(slots) - 1 for slots in item_slots]
     # rest[t]: the most size the items after t can take, from their first
     # (largest) slots
     rest = [0] * (last + 1)
@@ -461,50 +456,40 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
     room = budget.limit - budget.used
     nodes = 0
     acc: dict[int, int] = {}
-    # a node puts n copies of one slot into the assignment; a frame is (item
-    # index, slot index, exponent left for the item, size, rise and fall
-    # left, prod n!, prod value^n), and an item's last slot takes all that
-    # is left of its exponent.  A frame is pushed only while the size left
-    # fits in what its item and the later ones can still take.
-    stack = [(0, 0, exponents[0], size, rise, fall, 1, 1)]
+    # a node places one copy; a frame is (item index, slot of the item's
+    # last copy, copies of the item left, copies in that slot, size, rise
+    # and fall left, the items' e!/prod(n!) so far, prod value).  A copy is
+    # pushed only while the size left fits in what the item's later copies
+    # (slots no larger than its own) and the later items can still take,
+    # so a complete assignment has no size left.
+    stack = [(0, 0, exponents[0], 0, size, rise, fall, 1, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        item, slot, left, size, rise, fall, denom, prod = pop()
+        item, slot, left, run, size, rise, fall, mult, prod = pop()
         nodes += 1
         if nodes > room:
             budget.spend(nodes)
-        s, r, f, value = item_slots[item][slot]
-        if slot < ends[item]:
-            slot += 1
-            nxt = item_slots[item][slot][0]
-            after = rest[item]
-            if size <= left * nxt + after:
-                push((item, slot, left, size, rise, fall, denom, prod))
-            for n in range(1, left + 1):
-                size -= s
-                rise -= r
-                fall -= f
-                if size | rise | fall < 0:
-                    break
-                if size <= (left - n) * nxt + after:
-                    push((item, slot, left - n, size, rise, fall, denom * factorial(n),
-                          prod * value ** n))
-            continue
-        if left:
-            size -= left * s
-            rise -= left * r
-            fall -= left * f
-            if size | rise | fall < 0:
+        if not left:
+            if item == last:
+                acc[rise] = acc.get(rise, 0) + mult * prod
                 continue
-            denom *= factorial(left)
-            prod *= value ** left
-        if item < last:
-            if size <= rest[item]:
-                push((item + 1, 0, exponents[item + 1], size, rise, fall, denom, prod))
-        elif not size:
-            acc[rise] = acc.get(rise, 0) + fq // denom * prod
+            item, slot, run = item + 1, 0, 0
+            left = exponents[item]
+        copy = exponents[item] - left + 1
+        after = rest[item]
+        slots = item_slots[item]
+        for t in range(slot, len(slots)):
+            s, r, f, value = slots[t]
+            if size > left * s + after:
+                break
+            if size < s or rise < r or fall < f:
+                continue
+            same = run + 1 if t == slot else 1
+            push((item, t, left - 1, same, size - s, rise - r, fall - f,
+                  mult * copy // same, prod * value))
     budget.spend(nodes)
-    return acc
+    fq = multinomial(exponents)  # q!/prod(e!), once per S
+    return {r: fq * v for r, v in acc.items()}
 
 
 def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,

@@ -211,7 +211,8 @@ def coefficient_after_branch(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: in
     return -total / w0
 
 
-def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
+def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
+              branch: BranchData | None = None) -> HenselForm:
     """Reduce P at the prefix z_{k+1} to the tail's Henselian equation.
 
     Requires k + 1 seed coefficients, and k strictly past the
@@ -221,6 +222,11 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     Q_k(x, y) = sum b_{l,m} x^l y^m is produced from the multinomial
     formula, with l running to (k+1)*dy + dx - i_k and m capped by
     min((l + i_k) / (k+1), dy).
+
+    ``branch`` is the caller's ``branch_data`` of the same root, for a
+    z_{k+1} the caller has already checked with ``leaves_branch``; given
+    it, neither the scan nor that check runs again.  The exact-root test
+    and the requirement k0 < k hold either way.
     """
     _validate_inputs(P, c)
     if k < 1:
@@ -230,15 +236,18 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int) -> HenselForm:
     z = [c.coefficient(n) for n in range(1, k + 2)]
     if not eval_at_poly(P, z):
         return HenselForm(k=k, polynomial_root=tuple(z))
-    try:
-        bd = branch_data(P, TruncatedSeries(z))
-    except PrecisionError:  # the branch does not separate within z
-        bd = None
+    bd = branch
+    if bd is None:
+        try:
+            bd = branch_data(P, TruncatedSeries(z))
+        except PrecisionError:  # the branch does not separate within z
+            pass
     if bd is None or bd.k0 >= k:
         raise InputError(f"no branch separation at k <= {k - 1}")
-    wrong = leaves_branch(P, z, bd)
-    if wrong is not None:
-        raise NotSimpleRootError(f"c_{wrong} does not continue the root")
+    if branch is None:
+        wrong = leaves_branch(P, z, bd)
+        if wrong is not None:
+            raise NotSimpleRootError(f"c_{wrong} does not continue the root")
     i_k = bd.i_k0 + (k - bd.k0)
 
     dx, dy = P.x_degree, P.y_degree

@@ -17,7 +17,7 @@ from typing import Sequence
 from .bivar import BivarPoly, _evaluate, uni_order
 from .bivar import eval_at_poly  # unused; bound because bench/tracing.py wraps it
 from .errors import InputError, LiftError, NotSimpleRootError
-from .henselization import branch_data, leaves_branch
+from .henselization import BranchData, branch_data, leaves_branch
 from .henselization import order_sequence  # unused; bound because bench/tracing.py wraps it
 from .series import TruncatedSeries, _clear, _frac, _int_mul, _inverse
 from .series import series_div  # unused; bound because bench/tracing.py wraps it
@@ -31,7 +31,8 @@ class LiftReport:
     iterations: int
 
 
-def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
+def newton_lift(P: BivarPoly, seed: Sequence, precision: int, *,
+                branch: BranchData | None = None) -> LiftReport:
     """Extend a root prefix c_1..c_s to the stated precision.
 
     The seed needs only c_1..c_{k0+1}, the prefix the branch scan reads;
@@ -51,6 +52,11 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     integer numerators over one denominator, the content removed once per
     step; Fractions are made once, at the end.
 
+    ``branch`` is the caller's ``branch_data`` of this P and seed, for a
+    seed the caller has already checked with ``leaves_branch``; given it,
+    the lift neither scans nor checks the seed again.  The final
+    certificate runs either way.
+
     Raises ``InputError`` for an invalid P or seed (c_1 = 0) and for a
     target below the seed length, ``PrecisionError`` when the seed ends
     before the branch separates, ``NotSimpleRootError`` when the seed
@@ -59,10 +65,12 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int) -> LiftReport:
     """
     cs = [_frac(v) for v in seed]
     s = len(cs)
-    bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
-    wrong = leaves_branch(P, cs, bd)
-    if wrong is not None:
-        raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
+    bd = branch
+    if bd is None:
+        bd = branch_data(P, TruncatedSeries(cs, precision=s, start=1))
+        wrong = leaves_branch(P, cs, bd)
+        if wrong is not None:
+            raise NotSimpleRootError(f"seed leaves the branch at c_{wrong}")
     if precision < s:
         raise InputError("target precision below the seed length")
     e = bd.i_k0 - bd.k0 - 1

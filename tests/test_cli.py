@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from algseries import BivarPoly, cli, newton, newton_lift
+from algseries import BivarPoly, cli, henselization, newton, newton_lift
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
 from conftest import E4_POLY
@@ -245,6 +245,31 @@ def test_inconsistent_seed_exits_one(files, capsys):
     assert code == 1 and obj["error"] == "NotSimpleRootError"
 
 
+def test_expand_scans_the_branch_once(files, capsys, monkeypatch):
+    # one branch scan and one seed check serve all three routes; the other
+    # leaves_branch call is Newton's final certificate
+    calls = {"branch_data": 0, "leaves_branch": 0}
+
+    def counting(name):
+        original = getattr(henselization, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (cli, newton, henselization):
+            monkeypatch.setattr(module, name, wrapper)
+    for seed in (files["seed"], files["root"]):
+        calls.update(branch_data=0, leaves_branch=0)
+        code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", seed,
+                                 "--count", "3", "--method", "all"])
+        assert code == 0 and obj["agree"] is True
+        assert calls == {"branch_data": 1, "leaves_branch": 2}
+
+
 def test_budget_exit_three(files, capsys):
     code, obj = run(capsys, ["expand", "--poly", files["poly"], "--seed", files["seed"],
                              "--count", "6", "--method", "closed", "--budget", "10"])
@@ -252,31 +277,34 @@ def test_budget_exit_three(files, capsys):
 
 
 def test_budget_at_and_one_below_the_node_count(files, capsys):
-    # the closed form visits 2221 nodes for c_3..c_8 of e4: that budget
+    # the closed form visits 1457 nodes for c_3..c_8 of e4: that budget
     # answers, one node fewer exits 3
     argv = ["expand", "--poly", files["poly"], "--seed", files["seed"],
             "--count", "6", "--method", "closed", "--budget"]
-    assert main(argv + ["2221"]) == 0
+    assert main(argv + ["1457"]) == 0
     assert capsys.readouterr().out == (
         '{"coefficients": ["0", "-1", "-1/2", "1", "1", "-1"], "i_k": 3, "k": 1, "k0": 0, '
         '"method": "closed", "omega0": "2", "seed": ["1", "1"]}\n')
-    assert main(argv + ["2220"]) == 3
+    assert main(argv + ["1456"]) == 3
     assert capsys.readouterr().out == \
-        '{"detail": "enumeration exceeded 2220 nodes", "error": "BudgetError"}\n'
+        '{"detail": "enumeration exceeded 1456 nodes", "error": "BudgetError"}\n'
 
 
 def test_budget_exit_three_with_long_seed(files, capsys):
     # y^2 - x y^2 + y - 2xy - x has the root x/(1 - x): a 100-term seed
-    # makes the closed form's slot lists long
+    # makes the closed form's slot lists long; the walk visits 13170 nodes
     poly = files["dir"] / "quad.json"
     poly.write_text(dumps(poly_to_obj(BivarPoly(
         {(0, 2): 1, (1, 2): -1, (0, 1): 1, (1, 1): -2, (1, 0): -1}))))
     seed = files["dir"] / "ones.json"
     seed.write_text(dumps({"coefficients": ["1"] * 100}))
-    code, obj = run(capsys, ["expand", "--poly", str(poly), "--seed", str(seed),
-                             "--count", "3", "--method", "closed", "--budget", "50000"])
+    argv = ["expand", "--poly", str(poly), "--seed", str(seed), "--count", "3",
+            "--method", "closed", "--budget"]
+    code, obj = run(capsys, argv + ["13170"])
+    assert code == 0 and obj["coefficients"] == ["1", "1", "1"]
+    code, obj = run(capsys, argv + ["13169"])
     assert code == 3
-    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 50000 nodes"}
+    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 13169 nodes"}
 
 
 def test_budget_exit_three_after_a_reimport(files, capsys):

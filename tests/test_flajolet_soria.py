@@ -7,7 +7,7 @@ from math import factorial
 from operator import sub
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
@@ -16,7 +16,7 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        compositions, e_coefficient,
                        eval_at_series, fs_coefficient,
                        fs_expand, henselize, newton_lift, series, weighted_compositions)
-from algseries.flajolet_soria import _e_from_slots, _layout, _pack, _slots, multinomial
+from algseries.flajolet_soria import _slot_walk, _slots, multinomial
 from algseries.henselization import _power_coefficient
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, late_branch_instances,
                       liftable_instances, nonzero_rational, rational)
@@ -71,16 +71,17 @@ def test_fs_support_cap_gates_on_flag():
 
 
 def test_fs_support_cap_consistent_on_hensel_equations():
-    # every term of a Hensel form carries x, so sizes stop at n: same sum,
-    # fewer nodes than the 2n - 1 enumeration
+    # every term of a Hensel form carries x, so sizes stop at n: same sum
+    # as the 2n - 1 enumeration, and the balance bound already keeps the
+    # walk inside that cap, so both visit the same nodes
     form = henselize(E4_POLY, TruncatedSeries([1, 1]), 1)
     assert form.eq.no_pure_x_powers
     expected = fixed_point_expand(form.eq, 6)
-    for n in range(1, 7):
+    for n, nodes in zip(range(1, 7), [0, 7, 10, 12, 22, 27]):
         capped, full = EnumerationBudget(), EnumerationBudget()
         assert fs_coefficient(form.eq, n, budget=capped) == \
             _fs_reference(form.eq, n, full) == expected.coefficient(n)
-        assert capped.used < full.used if n >= 2 else capped.used == full.used
+        assert capped.used == full.used == nodes
 
 
 def test_fs_matches_solution_shape_in_b():
@@ -213,14 +214,14 @@ def test_closed_form_e4_fixture():
 
 def test_closed_form_node_counts_on_e4():
     # the slot order fixes the pruning, and so the number of nodes visited
-    for p, nodes in [(6, 1629), (8, 4765), (10, 12026)]:
+    for p, nodes in [(6, 1102), (8, 3419), (10, 9333)]:
         budget = EnumerationBudget()
         closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, p, budget=budget)
         assert budget.used == nodes
     # one walk for c_3..c_8 costs less than the six walks of one index each
     budget = EnumerationBudget()
     closed_form_coefficients(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
-    assert budget.used == 2221
+    assert budget.used == 1457
 
 
 def test_reference_closed_form_node_counts_on_e4():
@@ -348,8 +349,12 @@ def test_budget_failure_is_fast():
 
 
 def test_fs_budget_enforced():
-    budget = EnumerationBudget(limit=5)
-    with pytest.raises(BudgetError):
+    # c_6 of the Catalan equation has one exponent vector, three nodes deep
+    budget = EnumerationBudget(limit=3)
+    assert fs_coefficient(CATALAN_EQ, 6, budget=budget) == 42
+    assert budget.used == 3
+    budget = EnumerationBudget(limit=2)
+    with pytest.raises(BudgetError, match="exceeded 2 nodes"):
         fs_coefficient(CATALAN_EQ, 6, budget=budget)
 
 
@@ -369,18 +374,18 @@ def test_denominator_structure_on_integer_data():
 
 
 def test_closed_form_budget_is_exact_on_e4():
-    # p = 6 visits 1629 nodes: that many are enough, one fewer is not
-    budget = EnumerationBudget(limit=1629)
+    # p = 6 visits 1102 nodes: that many are enough, one fewer is not
+    budget = EnumerationBudget(limit=1102)
     assert closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget) == -1
-    assert budget.used == 1629
-    budget = EnumerationBudget(limit=1628)
+    assert budget.used == 1102
+    budget = EnumerationBudget(limit=1101)
     with pytest.raises(BudgetError) as caught:
         closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
-    assert str(caught.value) == "enumeration exceeded 1628 nodes"
-    assert budget.used == 1629
+    assert str(caught.value) == "enumeration exceeded 1101 nodes"
+    assert budget.used == 1102
 
 
-# -- the packed closed-form kernel against the literal walk it replaces
+# -- the closed-form kernel against the literal walks it replaces
 
 
 def reference_e_from_slots(items, slot_table, T_S, budget):
@@ -468,93 +473,14 @@ def reference_closed_form(P, c, k, i_k, omega0, p, budget):
     return total
 
 
-def packed_e_from_slots(items, slot_table, T, budget):
-    """``_e_from_slots`` on the reference's arguments, packed at the width
-    rule: 2^(width - 1) above every entry of T and every single subtraction
-    (plus max |t| when T has a negative entry, as ``e_coefficient`` packs)."""
-    largest = max((s * max(L) for key, s in items for _m, L, _b in slot_table[key]),
-                  default=0)
-    if min(T) >= 0:
-        bound = max(largest, *T)
-    else:
-        bound = largest + max(map(abs, T))
-    width, guard = _layout(len(T), bound)
-    item_slots = [[(_pack(L, width), base) for _m, L, base in slot_table[key]]
-                  for key, _ in items]
-    return _e_from_slots([s for _, s in items], item_slots, guard + _pack(T, width),
-                         guard, budget)
-
-
-def _outcome(walk, *args, limit, used=0):
+def _outcome(walk, *args, limit):
     """(value or BudgetError text, budget.used) of one walk."""
-    budget = EnumerationBudget(limit=limit, used=used)
+    budget = EnumerationBudget(limit=limit)
     try:
         value = walk(*args, budget)
     except BudgetError as exc:
         value = str(exc)
     return value, budget.used
-
-
-@st.composite
-def slot_walks(draw):
-    """Items with positive exponents, a slot table over them (an item may
-    have no slot) and a target spread, some of whose entries may be
-    negative, as ``e_coefficient`` accepts."""
-    fields = draw(st.integers(1, 3))
-    spread = st.tuples(*[st.integers(0, 5)] * fields)
-    items, table = [], {}
-    for key in range(draw(st.integers(0, 3))):
-        table[(key, 1)] = draw(st.lists(st.tuples(st.just(0), spread, st.integers(1, 9)),
-                                        max_size=4))
-        items.append(((key, 1), draw(st.integers(1, 3))))
-    T = draw(st.tuples(*[st.integers(-3, 16)] * fields))
-    return items, table, T
-
-
-# boundary cases of the width rule, each (items, slot table, T); with a
-# field one bit narrower the packed walk gets some of them wrong
-BOUNDARY_WALKS = [
-    # an entry of T equal to |T|, with |T| just below and at a power of two;
-    # the walk checks the guards while that entry is still whole
-    *[([((0, 1), 1)], {(0, 1): [(0, (0, 0), 5), (0, (t, 0), 3)]}, (t, 0))
-      for t in (7, 8, 15, 16)],
-    *[([((0, 1), 1), ((1, 1), 1)],
-       {(0, 1): [(0, (0, 0, 0), 1), (0, (0, t - 1, 0), 2)],
-        (1, 1): [(0, (0, 0, 0), 1), (0, (0, 1, 0), 3)]}, (0, t, 0))
-      for t in (7, 8, 31, 32)],
-    # a last slot whose left * L is the whole bound, from a smaller entry
-    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 3), 2)]}, (1, 9)),
-    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 4), 2)]}, (2, 8)),
-    ([((0, 1), 3), ((1, 1), 2)],
-     {(0, 1): [(0, (1, 0), 1), (0, (0, 5), 2)], (1, 1): [(0, (0, 1), 3), (0, (2, 0), 1)]},
-     (4, 1)),
-    ([((0, 1), 3), ((1, 1), 1)],
-     {(0, 1): [(0, (0, 1), 1), (0, (4, 0), 1)], (1, 1): [(0, (0, 4), 3)]}, (8, 5)),
-    # no items, and an item with no slot
-    ([], {}, (0, 0)),
-    ([], {}, (0, 3)),
-    ([((0, 1), 2)], {(0, 1): []}, (0, 0)),
-    ([((0, 1), 1), ((1, 1), 2)], {(0, 1): [(0, (1, 1), 2)], (1, 1): []}, (1, 1)),
-]
-
-
-@pytest.mark.parametrize("items, table, T", BOUNDARY_WALKS)
-def test_packed_walk_boundary_cases(items, table, T):
-    expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
-    assert _outcome(packed_e_from_slots, items, table, T, limit=10 ** 6) == expect
-    # and with every budget that cuts the walk short
-    for limit in range(1, expect[1] + 1):
-        assert _outcome(packed_e_from_slots, items, table, T, limit=limit) == \
-            _outcome(reference_e_from_slots, items, table, T, limit=limit)
-
-
-@settings(max_examples=400, deadline=None)
-@given(walk=slot_walks(), limit=st.integers(1, 3000), used=st.integers(0, 50))
-@example(walk=BOUNDARY_WALKS[0], limit=10, used=10)
-def test_packed_walk_matches_tuple_walk(walk, limit, used):
-    items, table, T = walk
-    assert _outcome(packed_e_from_slots, items, table, T, limit=limit + used, used=used) == \
-        _outcome(reference_e_from_slots, items, table, T, limit=limit + used, used=used)
 
 
 def test_e_coefficient_matches_tuple_walk():
@@ -650,6 +576,159 @@ def test_closed_form_matches_literal_closed_form_on_roots(case, limit):
     P, seed, k, i_k, omega0, expect = _late_and_rational_roots()[case]
     assert closed_form_coefficients(P, seed, k, i_k, omega0, 3) == expect
     _assert_matches_reference(P, seed, k, i_k, omega0, expect, limit)
+
+
+def reference_exponent_vectors(support, n, size_cap, budget):
+    """The walk one index at a time, pruned only on the size and y-weight
+    caps, after a node is visited: (nonzero (index, exponent) pairs, size)."""
+    room = budget.limit - budget.used
+    nodes = 0
+    end = len(support)
+    stack = [(0, n, 0, 0, ())]
+    while stack:
+        idx, rem_n, size, y_weight, chosen = stack.pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        if size > size_cap or y_weight > size_cap - 1:
+            continue
+        if idx == end:
+            if rem_n == 0 and size >= 1 and y_weight == size - 1:
+                budget.spend(nodes)
+                nodes = 0
+                yield chosen, size
+                room = budget.limit - budget.used
+            continue
+        l, m = support[idx]
+        top = rem_n // l if l > 0 else size_cap - size
+        for e in range(top, 0, -1):
+            stack.append((idx + 1, rem_n - l * e, size + e, y_weight + m * e,
+                          chosen + ((idx, e),)))
+        stack.append((idx + 1, rem_n, size, y_weight, chosen))
+    budget.spend(nodes)
+
+
+def reference_fs_coefficient(Q, n, budget):
+    """The Flajolet-Soria sum for one index over the reference walk."""
+    support, coeffs = Q.support, Q.terms
+    cap = n if Q.no_pure_x_powers else 2 * n - 1
+    total = F(0)
+    for chosen, size in reference_exponent_vectors(support, n, cap, budget):
+        term = F(multinomial([e for _, e in chosen]), size)
+        for t, e in chosen:
+            term *= coeffs[support[t]] ** e
+        total += term
+    return total
+
+
+@st.composite
+def hensel_equations(draw):
+    """Reduced Henselian equations with an x-only term, and possibly l = 0
+    terms with m >= 2 and m = 1 terms."""
+    coeff = SMALL_RATIONALS.filter(bool)
+    terms = {(draw(st.integers(1, 3)), 0): draw(coeff)}
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 3))
+        l = draw(st.integers(0 if m >= 2 else 1, 3))
+        terms[(l, m)] = draw(coeff)
+    return ReducedHenselEq(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(Q=hensel_equations(), n=st.integers(1, 12), limit=st.integers(1, 3000))
+def test_fs_window_walk_matches_reference_walk(Q, n, limit):
+    expect = [reference_fs_coefficient(Q, t, EnumerationBudget(limit=10 ** 9))
+              for t in range(1, n + 1)]
+    assert list(fs_expand(Q, n).one_based()) == expect
+    assert fs_coefficient(Q, n) == expect[-1]
+    _assert_reference_or_budget(lambda budget: list(fs_expand(Q, n, budget=budget).one_based()),
+                                expect, limit)
+    _assert_reference_or_budget(lambda budget: fs_coefficient(Q, n, budget=budget),
+                                expect[-1], limit)
+
+
+def reference_slot_walk(exponents, item_slots, size, rise, fall, budget):
+    """The slot walk that puts every count n of one slot in one node, with
+    q!/prod(n!) applied at each complete assignment."""
+    fq = factorial(sum(exponents))
+    last = len(exponents) - 1
+    ends = [len(slots) - 1 for slots in item_slots]
+    rest = [0] * (last + 1)
+    for t in range(last, 0, -1):
+        rest[t - 1] = rest[t] + exponents[t] * item_slots[t][0][0]
+    room = budget.limit - budget.used
+    nodes = 0
+    acc = {}
+    stack = [(0, 0, exponents[0], size, rise, fall, 1, 1)]
+    while stack:
+        item, slot, left, size, rise, fall, denom, prod = stack.pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        s, r, f, value = item_slots[item][slot]
+        if slot < ends[item]:
+            slot += 1
+            nxt = item_slots[item][slot][0]
+            after = rest[item]
+            if size <= left * nxt + after:
+                stack.append((item, slot, left, size, rise, fall, denom, prod))
+            for n in range(1, left + 1):
+                size -= s
+                rise -= r
+                fall -= f
+                if size | rise | fall < 0:
+                    break
+                if size <= (left - n) * nxt + after:
+                    stack.append((item, slot, left - n, size, rise, fall, denom * factorial(n),
+                                  prod * value ** n))
+            continue
+        if left:
+            size -= left * s
+            rise -= left * r
+            fall -= left * f
+            if size | rise | fall < 0:
+                continue
+            denom *= factorial(left)
+            prod *= value ** left
+        if item < last:
+            if size <= rest[item]:
+                stack.append((item + 1, 0, exponents[item + 1], size, rise, fall, denom, prod))
+        elif not size:
+            acc[rise] = acc.get(rise, 0) + fq // denom * prod
+    budget.spend(nodes)
+    return acc
+
+
+@st.composite
+def slot_tables(draw):
+    """(exponents, slot lists, size, rise, fall) for the slot walk: slots
+    from random seed spreads over k + 1 places, sizes never rising along a
+    list, and a weight window around the spreads' weights."""
+    k = draw(st.integers(1, 3))
+    exponents, tables = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        exponents.append(draw(st.integers(1, 3)))
+        spreads = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * (k + 1)),
+                                          st.integers(-9, 9).filter(bool)),
+                                min_size=1, max_size=5))
+        table = []
+        for L, value in sorted(spreads, key=lambda slot: -sum(slot[0])):
+            size = sum(L)
+            weight = sum((v + 1) * t for v, t in enumerate(L))
+            table.append((size, weight - size, (k + 1) * size - weight, value))
+        tables.append(table)
+    size = draw(st.integers(0, sum(e * t[0][0] for e, t in zip(exponents, tables))))
+    wlo = draw(st.integers(size, (k + 1) * size))
+    whi = draw(st.integers(wlo, (k + 1) * size))
+    return exponents, tables, size, whi - size, (k + 1) * size - wlo
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=slot_tables(), limit=st.integers(1, 2000))
+def test_slot_walk_matches_reference_walk(walk, limit):
+    expect = reference_slot_walk(*walk, EnumerationBudget(limit=10 ** 9))
+    assert _slot_walk(*walk, EnumerationBudget()) == expect
+    _assert_reference_or_budget(lambda budget: _slot_walk(*walk, budget), expect, limit)
 
 
 def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
