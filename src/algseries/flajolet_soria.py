@@ -391,7 +391,13 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
             raise InputError(f"exponent assignment {key}: {s} outside bounds")
         if s:
             items.append((_slots(int(i), int(j), k, i_k), int(s)))
-    T = tuple(int(t) for t in T_S)
+    return _e_walk(items, tuple(int(t) for t in T_S), budget)
+
+
+def _e_walk(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], int]],
+            T: tuple[int, ...], budget: EnumerationBudget) -> int:
+    """``e_coefficient``'s walk over (slots, exponent) items, one budget
+    node per frame, spreads as plain tuples."""
     if not items:
         return int(not any(T))
     if not all(slots for slots, _ in items):

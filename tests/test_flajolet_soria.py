@@ -7,7 +7,7 @@ from math import factorial
 from operator import sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
@@ -16,7 +16,7 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        compositions, e_coefficient,
                        eval_at_series, fs_coefficient,
                        fs_expand, henselize, newton_lift, series, weighted_compositions)
-from algseries.flajolet_soria import _slot_walk, _slots, multinomial
+from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
 from algseries.henselization import _power_coefficient
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, late_branch_instances,
                       liftable_instances, nonzero_rational, rational)
@@ -473,14 +473,82 @@ def reference_closed_form(P, c, k, i_k, omega0, p, budget):
     return total
 
 
-def _outcome(walk, *args, limit):
+def tuple_e_from_slots(items, slot_table, T, budget):
+    """``_e_walk``, the walk ``e_coefficient`` runs, on the reference's
+    arguments."""
+    return _e_walk([(slot_table[key], s) for key, s in items], T, budget)
+
+
+def _outcome(walk, *args, limit, used=0):
     """(value or BudgetError text, budget.used) of one walk."""
-    budget = EnumerationBudget(limit=limit)
+    budget = EnumerationBudget(limit=limit, used=used)
     try:
         value = walk(*args, budget)
     except BudgetError as exc:
         value = str(exc)
     return value, budget.used
+
+
+@st.composite
+def slot_walks(draw):
+    """Items with positive exponents, a slot table over them (an item may
+    have no slot) and a target spread, some of whose entries may be
+    negative, as ``e_coefficient`` accepts."""
+    fields = draw(st.integers(1, 3))
+    spread = st.tuples(*[st.integers(0, 5)] * fields)
+    items, table = [], {}
+    for key in range(draw(st.integers(0, 3))):
+        table[(key, 1)] = draw(st.lists(st.tuples(st.just(0), spread, st.integers(1, 9)),
+                                        max_size=4))
+        items.append(((key, 1), draw(st.integers(1, 3))))
+    T = draw(st.tuples(*[st.integers(-3, 16)] * fields))
+    return items, table, T
+
+
+# edge cases of the spread walk, each (items, slot table, T); they were
+# the boundary cases of the packed-integer spreads this walk replaced,
+# whose test names the two tests below keep
+BOUNDARY_WALKS = [
+    # an entry of T equal to |T|, with |T| just below and at a power of two
+    *[([((0, 1), 1)], {(0, 1): [(0, (0, 0), 5), (0, (t, 0), 3)]}, (t, 0))
+      for t in (7, 8, 15, 16)],
+    *[([((0, 1), 1), ((1, 1), 1)],
+       {(0, 1): [(0, (0, 0, 0), 1), (0, (0, t - 1, 0), 2)],
+        (1, 1): [(0, (0, 0, 0), 1), (0, (0, 1, 0), 3)]}, (0, t, 0))
+      for t in (7, 8, 31, 32)],
+    # a last slot whose left * L is the largest entry, from a smaller entry
+    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 3), 2)]}, (1, 9)),
+    ([((0, 1), 4)], {(0, 1): [(0, (1, 0), 1), (0, (0, 4), 2)]}, (2, 8)),
+    ([((0, 1), 3), ((1, 1), 2)],
+     {(0, 1): [(0, (1, 0), 1), (0, (0, 5), 2)], (1, 1): [(0, (0, 1), 3), (0, (2, 0), 1)]},
+     (4, 1)),
+    ([((0, 1), 3), ((1, 1), 1)],
+     {(0, 1): [(0, (0, 1), 1), (0, (4, 0), 1)], (1, 1): [(0, (0, 4), 3)]}, (8, 5)),
+    # no items, and an item with no slot
+    ([], {}, (0, 0)),
+    ([], {}, (0, 3)),
+    ([((0, 1), 2)], {(0, 1): []}, (0, 0)),
+    ([((0, 1), 1), ((1, 1), 2)], {(0, 1): [(0, (1, 1), 2)], (1, 1): []}, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("items, table, T", BOUNDARY_WALKS)
+def test_packed_walk_boundary_cases(items, table, T):
+    expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+    assert _outcome(tuple_e_from_slots, items, table, T, limit=10 ** 6) == expect
+    # and with every budget that cuts the walk short
+    for limit in range(1, expect[1] + 1):
+        assert _outcome(tuple_e_from_slots, items, table, T, limit=limit) == \
+            _outcome(reference_e_from_slots, items, table, T, limit=limit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(walk=slot_walks(), limit=st.integers(1, 3000), used=st.integers(0, 50))
+@example(walk=BOUNDARY_WALKS[0], limit=10, used=10)
+def test_packed_walk_matches_tuple_walk(walk, limit, used):
+    items, table, T = walk
+    assert _outcome(tuple_e_from_slots, items, table, T, limit=limit + used, used=used) == \
+        _outcome(reference_e_from_slots, items, table, T, limit=limit + used, used=used)
 
 
 def test_e_coefficient_matches_tuple_walk():
