@@ -1,7 +1,8 @@
 """Sparse bivariate polynomials over the rationals, the substitutions
-y -> z(x) + x^e * y that drive both implicitization and Hensel-form
-reduction, and the one evaluation of P(x, y(x)) modulo x^(n+1) that both
-certification and Newton lifting run.
+y -> z(x) + x^e * y (``substitute_tail``, the literal definition of the
+shifted polynomials) and y -> a + x * y (``substitute_shift``, the one step
+of the branch scan), and the one evaluation of P(x, y(x)) modulo x^(n+1),
+for y(0) = 0, that certification, the branch test and Newton lifting run.
 
 A polynomial is a finite map (i, j) -> coefficient of x^i y^j with no zero
 entries stored.  The x-degree, y-degree and x-order are always derived
@@ -14,8 +15,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import InputError, PrecisionError
-from .series import TruncatedSeries, _clear, _frac, _int_mul
+from .errors import InputError
+from .series import _clear, _frac, _int_mul
 
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
@@ -135,14 +136,12 @@ def _evaluate(d: int, Y: list[int], cuts: Sequence[tuple[BivarPoly, int]]
     integers, for each (P, n) in ``cuts``, all on one set of powers of Y.
 
     With L the common denominator of P, each term a x^i y^j adds
-    (a L) d^(top - j) Y^j to the numerators over L d^top.  When Y has no
-    constant term, Y^j vanishes mod x^(n+1) for j > n, so the powers stop
+    (a L) d^(top - j) Y^j to the numerators over L d^top.  Y has no
+    constant term, so Y^j vanishes mod x^(n+1) for j > n: the powers stop
     at top = min(y-degree, largest n) and those terms are skipped.
     """
     n_max = max(n for _, n in cuts)
-    top = max(P.y_degree for P, _ in cuts)
-    if not (Y and Y[0]):
-        top = min(top, n_max)
+    top = min(max(P.y_degree for P, _ in cuts), n_max)
     powers = _powers(Y, top, n_max)
     out = []
     for P, n in cuts:
@@ -205,30 +204,3 @@ def substitute_shift(P: BivarPoly, a) -> BivarPoly:
                 key = (i + m, m)
                 out[key] = out.get(key, Fraction(0)) + value
     return BivarPoly(out)
-
-
-def shift_substitute(P: BivarPoly, z: Sequence, k: int) -> BivarPoly:
-    """The k-th shifted polynomial P(x, z_k(x) + x^(k+1) * y).
-
-    ``z`` supplies the coefficients c_1..c_k of the partial sum z_k.  The
-    x-order and x-degree of the result are available as ``x_order`` and
-    ``x_degree`` on the returned polynomial.
-    """
-    if len(z) != k:
-        raise InputError(f"expected exactly {k} partial-sum coefficients, got {len(z)}")
-    return substitute_tail(P, z, k + 1)
-
-
-def eval_at_series(P: BivarPoly, y: TruncatedSeries, precision: int) -> TruncatedSeries:
-    """P(x, y(x)) modulo x^(precision+1).
-
-    The result's valuation is the least exponent with a nonzero computed
-    coefficient; when all of them vanish only "order > precision" is
-    reported (zero truncation), never exact vanishing.
-    """
-    if y.precision < precision:
-        raise PrecisionError(
-            f"series precision {y.precision} below requested {precision}"
-        )
-    [(den, out)] = _evaluate(*_clear(y.coefficients()[: precision + 1]), [(P, precision)])
-    return TruncatedSeries._from_dense([Fraction(c, den) for c in out])

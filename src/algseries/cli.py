@@ -256,14 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
         for option, kind in options.items():
             p.add_argument(f"--{option}", **kind)
         p.add_argument("--output", "-o", help="write the JSON result to this path")
-        p.add_argument("--budget", type=int, default=None,
-                       help=f"enumeration node budget (default {DEFAULT_NODE_BUDGET}, "
-                            f"env {BUDGET_ENV})")
         p.set_defaults(handler=handler)
 
     path, number = {"required": True}, {"type": int, "required": True}
+    # only expand enumerates, so only expand takes a node budget
     command("expand", "tail coefficients of a simple root", _cmd_expand, poly=path, seed=path,
-            count=number, method={"choices": ["fs", "closed", "newton", "all"], "default": "all"})
+            count=number, method={"choices": ["fs", "closed", "newton", "all"], "default": "all"},
+            budget={"type": int, "default": None,
+                    "help": f"enumeration node budget (default {DEFAULT_NODE_BUDGET}, "
+                            f"env {BUDGET_ENV})"})
     command("implicitize", "reconstruct a vanishing polynomial", _cmd_implicitize,
             series=path, dx=number, dy=number, shape={"default": None})
     command("henselize", "reduced Henselian equation of the tail", _cmd_henselize,

@@ -205,17 +205,6 @@ class ReducedHenselEq:
         return f"ReducedHenselEq({dict(sorted(self._terms.items()))!r})"
 
 
-@dataclass(frozen=True)
-class CompositionVector:
-    """Exponent assignment over the support of an equation, with its size
-    and the two weighted norms cached."""
-
-    exponents: tuple[tuple[tuple[int, int], int], ...]
-    size: int
-    x_weight: int
-    y_weight: int
-
-
 def _exponent_vectors(support: Sequence[tuple[int, int]], first: int, last: int,
                       size_cap: int, budget: EnumerationBudget
                       ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
@@ -286,15 +275,6 @@ def _exponent_vectors(support: Sequence[tuple[int, int]], first: int, last: int,
         if reach(nxt, xw, bal):
             push((nxt, xw, size, bal, chosen))
     budget.spend(nodes)
-
-
-def compositions(Q: ReducedHenselEq, n: int, size_cap: int,
-                 budget: EnumerationBudget) -> Iterator[CompositionVector]:
-    """Exponent vectors over the support of Q with x-weight exactly n,
-    y-weight one less than the size, and size at most size_cap."""
-    support = Q.support
-    for chosen, size, _ in _exponent_vectors(support, n, n, size_cap, budget):
-        yield CompositionVector(tuple((support[t], e) for t, e in chosen), size, n, size - 1)
 
 
 def _fs_window(Q: ReducedHenselEq, first: int, last: int,

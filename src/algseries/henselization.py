@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
-from .bivar import BivarPoly, eval_at_poly, substitute_shift, substitute_tail, uni_order
+from .bivar import BivarPoly, eval_at_poly, substitute_shift, uni_order
+from .bivar import substitute_tail  # unused; bound because bench/tracing.py wraps it
 from .errors import InputError, NotSimpleRootError, PrecisionError
 from .flajolet_soria import ReducedHenselEq, multinomial, weighted_compositions
 from .series import TruncatedSeries, _frac
@@ -77,6 +79,21 @@ def _validate_inputs(P: BivarPoly, c: TruncatedSeries) -> None:
         raise InputError("seed series must have c_1 != 0")
 
 
+def _scan(P: BivarPoly, c: TruncatedSeries) -> Iterator[BivarPoly]:
+    """The shifted polynomials P_k = P(x, z_k + x^(k+1) y) for
+    k = 0..c.precision, one at a time.
+
+    P_0 = P(x, x y) is the exponent map (i, j) -> (i + j, j), and
+    P_{k+1}(x, y) = P_k(x, c_{k+1} + x y), one ``substitute_shift`` per
+    coefficient read.
+    """
+    current = BivarPoly({(i + j, j): a for (i, j), a in P.terms.items()})
+    yield current
+    for k in range(1, c.precision + 1):
+        current = substitute_shift(current, c.coefficient(k))
+        yield current
+
+
 def order_sequence(P: BivarPoly, c: TruncatedSeries, k_max: int) -> OrderTrace:
     """Orders i_k of the shifted polynomials for k = 0..k_max."""
     _validate_inputs(P, c)
@@ -85,11 +102,8 @@ def order_sequence(P: BivarPoly, c: TruncatedSeries, k_max: int) -> OrderTrace:
     if c.precision < k_max:
         raise PrecisionError(f"need {k_max} coefficients, have {c.precision}")
     entries: list[tuple[int, int]] = []
-    current = substitute_tail(P, (), 1)
-    entries.append((0, current.x_order))
     failure_at = None
-    for k in range(1, k_max + 1):
-        current = substitute_shift(current, c.coefficient(k))
+    for k, current in zip(range(k_max + 1), _scan(P, c)):
         i_k = current.x_order
         entries.append((k, i_k))
         if failure_at is None and k >= 2 and i_k <= entries[-2][1]:
@@ -115,14 +129,14 @@ def branch_data(P: BivarPoly, c: TruncatedSeries) -> BranchData:
     """
     _validate_inputs(P, c)
     bound = 2 * P.x_degree * P.y_degree + 1
-    current = substitute_tail(P, (), 1)
-    i_prev = current.x_order
+    scan = _scan(P, c)
+    i_prev = next(scan).x_order
     for k in range(0, bound + 1):
-        if k + 1 > c.precision:
+        current = next(scan, None)
+        if current is None:
             raise PrecisionError(
                 f"branch scan needs coefficient c_{k + 1} beyond precision {c.precision}"
             )
-        current = substitute_shift(current, c.coefficient(k + 1))
         i_next = current.x_order
         if i_next <= i_prev:
             raise NotSimpleRootError(
@@ -172,25 +186,6 @@ def _power_coefficient(seed, n: int, w: int):
             if t:
                 term *= c ** t
         total += term
-    return total
-
-
-def omega0_closed(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: int) -> Fraction:
-    """The nonzero scalar at the branch point, by the closed multinomial
-    sum over the seed monomials of total degree j - 1 in c_1..c_{k0+1}.
-
-    Must agree with the coefficient of x^(i_k0 + 1) y in the shifted
-    polynomial at k0 + 1; vanishing contradicts the simple-root hypothesis.
-    """
-    if c.precision < k0 + 1:
-        raise PrecisionError(f"need {k0 + 1} seed coefficients")
-    seed = [c.coefficient(n) for n in range(1, k0 + 2)]
-    total = Fraction(0)
-    for (i, j), a in sorted(P.terms.items()):
-        if j >= 1:
-            total += a * j * _power_coefficient(seed, j - 1, i_k0 - k0 - 1 - i)
-    if not total:
-        raise NotSimpleRootError("the branch-point scalar vanishes")
     return total
 
 

@@ -278,34 +278,6 @@ def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
     return bareiss_det(sub)
 
 
-@dataclass(frozen=True)
-class AlgebraicityDecision:
-    algebraic: bool
-    rank: int
-    family_size: int
-    depth: int
-    # the positive answer is exact only under the hypothesis that the series
-    # is algebraic within the stated degree bounds; the negative one is not
-    # conditional on anything beyond the supplied coefficients
-    conditional: bool
-
-
-def _validated_slab(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> WilczynskiSlab:
-    if dx < 1 or dy < 1:
-        raise InputError("degree bounds must be at least 1")
-    if not shape.within_bounds(dx, dy):
-        raise InputError("shape exceeds the degree bounds")
-    return build_slab(shape, c, 2 * dx * dy)
-
-
-def is_algebraic_rel(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> AlgebraicityDecision:
-    """Decide algebraicity relative to (F, G) from a depth-2*dx*dy slab."""
-    slab = _validated_slab(shape, c, dx, dy)
-    r = len(_slab_kernel(slab.entries)[0])
-    algebraic = r < len(shape.F)
-    return AlgebraicityDecision(algebraic, r, len(shape.F), slab.depth, conditional=algebraic)
-
-
 def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:
     """True iff P(x, z_tau) vanishes modulo x^(tau+1) for tau = 2*dx*dy.
 
@@ -366,7 +338,11 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
     zeroes every slab row and the forced terms zero the rows G removed, so
     the certificate cannot fail; should it, NotAlgebraicError is raised.
     """
-    slab = _validated_slab(shape, c, dx, dy)
+    if dx < 1 or dy < 1:
+        raise InputError("degree bounds must be at least 1")
+    if not shape.within_bounds(dx, dy):
+        raise InputError("shape exceeds the degree bounds")
+    slab = build_slab(shape, c, 2 * dx * dy)
     pivots, relation = _slab_kernel(slab.entries)
     rank = len(pivots)
     if relation is None:

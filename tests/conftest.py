@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data,
-                       coefficient_after_branch, eval_at_series)
+                       coefficient_after_branch, eval_at_poly)
 
 # P = y^2 + x^2 y^2 - 2 x^2 y - x^2, simple root starting 1, 1, 0, -1, -1/2, ...
 E4_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 1): -2, (2, 2): 1})
@@ -186,7 +186,7 @@ def fixed_point_expand(Q, precision):
     if precision < 1:
         raise InputError("precision must be at least 1")
     poly = Q.as_poly()
-    y = TruncatedSeries.zero(precision)
+    y = []
     for _ in range(precision):
-        y = eval_at_series(poly, y, precision)
-    return y
+        y = eval_at_poly(poly, y, precision)[1:]
+    return TruncatedSeries(y, precision=precision, start=1)

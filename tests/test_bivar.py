@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, TruncatedSeries, bivar, eval_at_poly,
-                       eval_at_series, shift_substitute, substitute_shift,
-                       substitute_tail, uni_order)
+                       substitute_shift, substitute_tail, uni_order)
 from conftest import E4_POLY, HIGH_RATIONALS, coefficient_lists, rational
 
 
@@ -20,10 +19,10 @@ def test_terms_drop_zeros_and_degrees():
 
 def test_shift_substitute_e4_fixture():
     # P(x, xy) at the instance a = (a02, a20, a21, a22) = (1, -1, -2, 1)
-    p0 = shift_substitute(E4_POLY, (), 0)
+    p0 = substitute_tail(E4_POLY, (), 1)
     assert p0 == BivarPoly({(2, 0): -1, (2, 2): 1, (3, 1): -2, (4, 2): 1})
     assert p0.x_order == 2
-    p1 = shift_substitute(E4_POLY, (1,), 1)
+    p1 = substitute_tail(E4_POLY, (1,), 2)
     assert p1.x_order == 3
     # the y-degree never changes under the shift
     assert p1.y_degree == E4_POLY.y_degree
@@ -36,14 +35,9 @@ def test_shift_substitute_monomial_structure():
                        for _ in range(5)})
         if P.is_zero or P.x_order is None:
             continue
-        p0 = shift_substitute(P, (), 0)
+        p0 = substitute_tail(P, (), 1)
         assert p0.y_degree == P.y_degree
         assert p0.x_order <= P.x_order + P.y_degree
-
-
-def test_shift_substitute_length_check():
-    with pytest.raises(InputError):
-        shift_substitute(E4_POLY, (1, 2), 1)
 
 
 def test_shift_composes_with_constant_shift():
@@ -54,8 +48,8 @@ def test_shift_composes_with_constant_shift():
         if P.is_zero:
             continue
         cs = [rational(rng) for _ in range(3)]
-        pk = shift_substitute(P, cs[:2], 2)
-        direct = shift_substitute(P, cs[:3], 3)
+        pk = substitute_tail(P, cs[:2], 3)
+        direct = substitute_tail(P, cs[:3], 4)
         assert direct == substitute_shift(pk, cs[2])
 
 
@@ -69,24 +63,23 @@ def test_eval_at_poly_exactness():
 
 def test_eval_at_series_exact_root():
     y = TruncatedSeries([1] + [0] * 9)
-    out = eval_at_series(BivarPoly({(0, 1): 1, (1, 0): -1}), y, 10)
-    assert out.is_zero_truncation  # order >= 11, never reported as zero
+    out = eval_at_poly(BivarPoly({(0, 1): 1, (1, 0): -1}), y.one_based(), 10)
+    assert out == []  # order >= 11: the cut claims nothing past x^10
 
 
 def test_eval_at_series_short_prefix():
     # z_2 = x + x^2 agrees with the root to order 3 (c_3 = 0), and the
     # derivative order is 1, so the residual has order exactly 5
     y = TruncatedSeries([1, 1, 0, 0])
-    out = eval_at_series(E4_POLY, y, 4)
-    assert out.is_zero_truncation
+    assert eval_at_poly(E4_POLY, y.one_based(), 4) == []
     y10 = TruncatedSeries([1, 1] + [0] * 8)
-    assert eval_at_series(E4_POLY, y10, 10).valuation == 5
+    assert uni_order(eval_at_poly(E4_POLY, y10.one_based(), 10)) == 5
 
 
 def test_eval_at_series_five_term_prefix():
     y = TruncatedSeries([1, 1, 0, -1, F(-1, 2)] + [0] * 5)
-    out = eval_at_series(E4_POLY, y, 10)
-    assert out.valuation == 7
+    out = eval_at_poly(E4_POLY, y.one_based(), 10)
+    assert uni_order(out) == 7
 
 
 def test_eval_at_series_matches_poly_eval():
@@ -96,10 +89,8 @@ def test_eval_at_series_matches_poly_eval():
                        for _ in range(5)})
         z = [rational(rng) for _ in range(6)]
         dense = eval_at_poly(P, z)
-        series = eval_at_series(P, TruncatedSeries(z), 6)
-        for n in range(7):
-            want = dense[n] if n < len(dense) else F(0)
-            assert series.coefficient(n) == want
+        cut = eval_at_poly(P, TruncatedSeries(z).one_based(), 6)
+        assert cut == _trim(dense[:7])
 
 
 def _naive_eval(P, y):
@@ -132,8 +123,6 @@ def _trim(dense):
 
 
 _RATS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-_POLYS = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)), _RATS,
-                         max_size=6).map(BivarPoly)
 _WIDE_POLYS = st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)),
                               st.one_of(_RATS, HIGH_RATIONALS),
                               max_size=6).map(BivarPoly)
@@ -149,27 +138,15 @@ def test_eval_at_poly_cut_matches_exact_prefix(P, z, cuts):
     every = range(top + 1) if top <= 40 else [0, 1, len(z), top // 2, top] + cuts
     for n in every:
         assert eval_at_poly(P, z, n) == _trim(_cut(exact, n))
+        # trailing zeros of a padded series prefix change nothing
         y = TruncatedSeries(z, precision=max(n, len(z)), start=1)
-        assert eval_at_series(P, y, n).coefficients() == tuple(_cut(exact, n))
-
-
-@settings(max_examples=80, deadline=None)
-@given(P=_POLYS, y=st.lists(_RATS, min_size=1, max_size=6))
-def test_eval_at_series_with_constant_term(P, y):
-    series = TruncatedSeries(y, start=0)
-    for n in range(len(y)):
-        # coefficients of y past x^n cannot reach x^n
-        want = _cut(_naive_eval(P, y[: n + 1]), n)
-        assert eval_at_series(P, series, n).coefficients() == tuple(want)
+        assert eval_at_poly(P, y.one_based(), n) == _trim(_cut(exact, n))
 
 
 def test_terms_past_the_cut_contribute_nothing():
     P = BivarPoly({(5, 1): 7, (9, 0): 3, (0, 1): 1})
     assert eval_at_poly(P, [F(1), F(2)], 2) == [F(0), F(1), F(2)]
     assert eval_at_poly(P, [F(1), F(2)], 0) == []
-    y = TruncatedSeries([1, 1, 1], start=0)
-    out = eval_at_series(BivarPoly({(4, 1): 1, (0, 1): 1}), y, 2)
-    assert out.coefficients() == (1, 1, 1)
     with pytest.raises(InputError):
         eval_at_poly(P, [F(1)], -1)
 
@@ -190,13 +167,6 @@ def test_powers_stop_at_the_cut_without_a_constant_term(monkeypatch):
             if d <= 40:
                 assert got == _trim(_cut(_naive_eval(P, [F(0)] + z), n))
     assert tops and all(top <= n for top, n in tops)
-    # a constant term keeps every power: y^d reaches x^0
-    tops.clear()
-    P = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 12): 1})
-    y = [F(2), F(1), F(-1)]
-    out = eval_at_series(P, TruncatedSeries(y, start=0), 2)
-    assert out.coefficients() == tuple(_cut(_naive_eval(P, y), 2))
-    assert tops == [(12, 2)]
 
 
 def test_substitute_tail_general_exponent():

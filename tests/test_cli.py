@@ -276,6 +276,24 @@ def test_budget_exit_three(files, capsys):
     assert code == 3 and obj["error"] == "BudgetError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--poly", "{poly}", "--seed", "{seed}", "--count", "5"],
+    ["implicitize", "--series", "{root}", "--dx", "2", "--dy", "2"],
+    ["henselize", "--poly", "{poly}", "--seed", "{root}", "--k", "1"],
+    ["certify", "--poly", "{poly}", "--series", "{root}", "--dx", "2", "--dy", "2"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_budget_is_an_expand_option(files, capsys, argv):
+    # only expand enumerates; elsewhere --budget is an unknown argument
+    argv = [a.format(**files) for a in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, obj = run(capsys, argv + ["--budget", "5"])
+    assert code == 2
+    assert obj == {"error": "InputError",
+                   "detail": "algseries: unrecognized arguments: --budget 5"}
+
+
 def test_budget_at_and_one_below_the_node_count(files, capsys):
     # the closed form visits 1457 nodes for c_3..c_8 of e4: that budget
     # answers, one node fewer exits 3

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        ReducedHenselEq, TruncatedSeries, bivar, branch_data,
-                       closed_form_coefficient, closed_form_coefficients,
-                       compositions, e_coefficient,
-                       eval_at_series, fs_coefficient,
-                       fs_expand, henselize, newton_lift, series, weighted_compositions)
-from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
+                       closed_form_coefficient, closed_form_coefficients, e_coefficient,
+                       eval_at_poly, fs_coefficient, fs_expand, henselize, newton_lift,
+                       series, weighted_compositions)
+from algseries.flajolet_soria import (_e_walk, _exponent_vectors, _slot_walk, _slots,
+                                      multinomial)
 from algseries.henselization import _power_coefficient
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, late_branch_instances,
                       liftable_instances, nonzero_rational, rational)
@@ -49,12 +49,12 @@ def test_fs_catalan():
 
 def _fs_reference(Q, n, budget):
     """The Flajolet-Soria sum over every size up to 2n - 1, uncapped."""
-    coeffs = Q.terms
+    support, coeffs = Q.support, Q.terms
     total = F(0)
-    for vec in compositions(Q, n, 2 * n - 1, budget):
-        term = F(multinomial([e for _, e in vec.exponents]), vec.size)
-        for key, e in vec.exponents:
-            term *= coeffs[key] ** e
+    for chosen, size, _ in _exponent_vectors(support, n, n, 2 * n - 1, budget):
+        term = F(multinomial([e for _, e in chosen]), size)
+        for t, e in chosen:
+            term *= coeffs[support[t]] ** e
         total += term
     return total
 
@@ -137,8 +137,7 @@ def test_fs_defining_equation_property():
         residual_terms = {(0, 1): F(1)}
         for (l, m), v in q.terms.items():
             residual_terms[(l, m)] = residual_terms.get((l, m), F(0)) - v
-        residual = eval_at_series(BivarPoly(residual_terms), sol, 6)
-        assert residual.is_zero_truncation
+        assert eval_at_poly(BivarPoly(residual_terms), sol.one_based(), 6) == []
 
 
 def test_fs_long_support_does_not_recurse():
@@ -148,12 +147,13 @@ def test_fs_long_support_does_not_recurse():
 
 
 def test_composition_vectors_cache_their_norms():
+    # the walk fs_coefficient runs reports each vector's size and x-weight
     budget = EnumerationBudget()
-    for vec in compositions(CATALAN_EQ, 4, 7, budget):
-        assert vec.size == sum(e for _, e in vec.exponents)
-        assert vec.x_weight == sum(l * e for (l, _), e in vec.exponents) == 4
-        assert vec.y_weight == sum(m * e for (_, m), e in vec.exponents)
-        assert vec.y_weight == vec.size - 1
+    support = CATALAN_EQ.support
+    for chosen, size, x_weight in _exponent_vectors(support, 4, 4, 7, budget):
+        assert size == sum(e for _, e in chosen)
+        assert x_weight == sum(support[t][0] * e for t, e in chosen) == 4
+        assert sum(support[t][1] * e for t, e in chosen) == size - 1
 
 
 # -- the enumeration layer

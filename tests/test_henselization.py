@@ -7,14 +7,27 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError,
                        TruncatedSeries, branch_data, coefficient_after_branch,
-                       eval_at_poly, henselize, newton_lift,
-                       omega0_closed, order_sequence, series_pow, substitute_tail,
-                       uni_order)
-from algseries.henselization import _power_coefficient, leaves_branch
+                       eval_at_poly, henselize, newton_lift, order_sequence, series_pow,
+                       substitute_tail, uni_order)
+from algseries import henselization
+from algseries.henselization import _power_coefficient, _scan, leaves_branch
 from conftest import (E4_POLY, TANGENT, henselian_instance, late_branch_instances,
                       liftable_instances, nonzero_rational)
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
+
+
+def omega0_closed(P, c, k0, i_k0):
+    """The scalar at the branch point by the closed multinomial sum over
+    the seed monomials of total degree j - 1 in c_1..c_{k0+1}: a reference
+    for the omega0 that ``branch_data`` reads off the scan, the coefficient
+    of x^(i_k0 + 1) y in the shifted polynomial at k0 + 1."""
+    seed = [c.coefficient(n) for n in range(1, k0 + 2)]
+    total = F(0)
+    for (i, j), a in sorted(P.terms.items()):
+        if j >= 1:
+            total += a * j * _power_coefficient(seed, j - 1, i_k0 - k0 - 1 - i)
+    return total
 
 
 def test_order_sequence_e4_fixture():
@@ -244,3 +257,34 @@ def test_leaves_branch_agrees_with_order_sequence():
             orders = dict(order_sequence(P, TruncatedSeries(z), len(z)).entries)
             step = next(k + 1 for k in range(bd.k0, len(z)) if orders[k + 1] != orders[k] + 1)
             assert leaves_branch(P, z, bd) == step == m
+
+
+def test_scan_matches_the_literal_shifted_polynomials(monkeypatch):
+    # the scan builds P_k = P(x, z_k + x^(k+1) y) from P(x, x y) one shift
+    # at a time; the literal definition expands each P_k from scratch, and
+    # the scan itself never does
+    rng = random.Random(28)
+    tangent = [1, 0, 0, 0, 1, 0]   # k0 = 4
+    cases = [(P, seed) for P, seed, _ in liftable_instances(rng, 20) + late_branch_instances(rng, 9)]
+    cases.append((TANGENT, tangent))
+    calls = []
+    tail = henselization.substitute_tail
+    monkeypatch.setattr(henselization, "substitute_tail",
+                        lambda *args: calls.append(args) or tail(*args))
+    for P, seed in cases:
+        root = list(newton_lift(P, seed, 12).series.one_based())
+        off = list(root)
+        off[len(seed)] += nonzero_rational(rng)   # leaves the branch past the seed
+        for z in (root, off):
+            c = TruncatedSeries(z)
+            literal = [substitute_tail(P, z[:k], k + 1) for k in range(len(z) + 1)]
+            assert list(_scan(P, c)) == literal
+            orders = [Pk.x_order for Pk in literal]
+            assert [ik for _, ik in order_sequence(P, c, len(z)).entries] == orders
+            k0 = next(k for k in range(len(z)) if orders[k + 1] == orders[k] + 1
+                      and literal[k + 1].coefficient(orders[k + 1], 1))
+            bd = branch_data(P, c)
+            assert (bd.k0, bd.i_k0) == (k0, orders[k0])
+            assert bd.omega0 == literal[k0 + 1].coefficient(orders[k0] + 1, 1)
+            assert bd.omega0 == omega0_closed(P, c, k0, orders[k0])
+    assert calls == []

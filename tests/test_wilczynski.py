@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, MinorIndex, NotAlgebraicError, PrecisionError,
-                       SupportShape, TruncatedSeries, branch_data,
-                       build_slab, certify, eval_at_poly, eval_at_series, full_support,
-                       is_algebraic_rel, newton_lift, reconstruct, series_pow,
+                       SupportShape, TruncatedSeries, branch_data, build_slab, certify,
+                       eval_at_poly, full_support, newton_lift, reconstruct, series_pow,
                        wilczynski, wilczynski_minor)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
@@ -257,17 +256,16 @@ def test_minors_dual_route_agreement():
 
 
 def test_root_series_is_algebraic():
-    decision = is_algebraic_rel(E3_SHAPE, ROOT16, 2, 2)
-    assert decision.algebraic and decision.conditional
-    assert decision.rank == 2
+    result = reconstruct(E3_SHAPE, ROOT16, 2, 2)
+    assert result.conditional
+    assert result.rank == 2
 
 
 def test_linear_series_is_algebraic():
     shape = SupportShape(F=((0, 1),), G=((1, 0),))
     c = TruncatedSeries([1, 0, 0])
-    decision = is_algebraic_rel(shape, c, 1, 1)
-    assert decision.algebraic
     result = reconstruct(shape, c, 1, 1)
+    assert result.rank == 0
     assert result.poly == BivarPoly({(0, 1): 1, (1, 0): -1})
 
 
@@ -276,12 +274,12 @@ def test_random_series_not_algebraic():
     hits = 0
     for _ in range(10):
         c = random_series(rng, 9)
-        decision = is_algebraic_rel(E3_SHAPE, c, 2, 2)
-        if not decision.algebraic:
+        pivots, relation = wilczynski._slab_kernel(build_slab(E3_SHAPE, c, 8).entries)
+        if relation is None:
             hits += 1
-            with pytest.raises(NotAlgebraicError):
+            assert len(pivots) == len(E3_SHAPE.F)
+            with pytest.raises(NotAlgebraicError, match="full column rank 3"):
                 reconstruct(E3_SHAPE, c, 2, 2)
-            assert not decision.conditional
     assert hits >= 9  # rank deficiency has measure zero
 
 
@@ -403,7 +401,8 @@ def test_rank_at_non_minimal_bounds():
     nullity = len(shape.F) - len(reference_eliminate(slab.entries).pivots)
     assert nullity > 1
     result = reconstruct(shape, c, 4, 4)
-    assert result.rank == is_algebraic_rel(shape, c, 4, 4).rank == len(shape.F) - nullity
+    rank = len(wilczynski._slab_kernel(slab.entries)[0])
+    assert result.rank == rank == len(shape.F) - nullity
     assert certify(result.poly, c, 4, 4)
 
 
@@ -484,7 +483,7 @@ def fallback_cases():
 
 
 def outcome(shape, c, dx, dy):
-    rank = is_algebraic_rel(shape, c, dx, dy).rank
+    rank = len(wilczynski._slab_kernel(build_slab(shape, c, 2 * dx * dy).entries)[0])
     try:
         result = reconstruct(shape, c, dx, dy)
     except NotAlgebraicError as exc:
@@ -552,7 +551,7 @@ def test_elimination_matches_sympy_nullspace():
                                for row in slab.entries])
         basis = matrix.nullspace()
         coranks.append(len(basis))
-        assert is_algebraic_rel(shape, c, dx, dy).rank == len(shape.F) - len(basis)
+        assert len(wilczynski._slab_kernel(slab.entries)[0]) == len(shape.F) - len(basis)
         if not basis:
             with pytest.raises(NotAlgebraicError):
                 reconstruct(shape, c, dx, dy)
@@ -567,8 +566,7 @@ def test_elimination_matches_sympy_nullspace():
 
 def test_reconstruct_round_trip_residual():
     result = reconstruct(E3_SHAPE, ROOT16, 2, 2)
-    residual = eval_at_series(result.poly, ROOT16, 16)
-    assert residual.is_zero_truncation
+    assert eval_at_poly(result.poly, ROOT16.one_based(), 16) == []
 
 
 def test_reconstruct_minimal_precision_suffices():
