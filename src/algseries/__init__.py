@@ -21,12 +21,11 @@ from .errors import (AlgSeriesError, BudgetError, InputError, LiftError,
 from .flajolet_soria import (EnumerationBudget, ReducedHenselEq, closed_form_coefficient,
                              closed_form_coefficients, e_coefficient, fs_coefficient,
                              fs_expand, weighted_compositions)
-from .henselization import (BranchData, HenselForm, OrderTrace, branch_data,
-                            coefficient_after_branch, henselize, order_sequence)
+from .henselization import (BranchData, HenselForm, branch_data, coefficient_after_branch,
+                            henselize, order_sequence)
 from .newton import LiftReport, newton_lift
 from .series import TruncatedSeries, series_div, series_pow
-from .support import (PuiseuxMeta, SupportShape, antilex_key, full_support,
-                      puiseux_support_constraints)
+from .support import SupportShape, antilex_key, full_support
 from .wilczynski import (MinorIndex, ReconstructionResult, WilczynskiSlab, bareiss_det,
                          build_slab, certify, reconstruct, wilczynski_minor)
 
@@ -34,13 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgSeriesError", "BivarPoly", "BranchData", "BudgetError", "EnumerationBudget",
-    "HenselForm", "InputError", "LiftError", "LiftReport", "MinorIndex",
-    "NotAlgebraicError", "NotSimpleRootError", "OrderTrace", "PrecisionError",
-    "PuiseuxMeta", "ReconstructionResult", "ReducedHenselEq", "SupportShape",
-    "TruncatedSeries", "WilczynskiSlab", "antilex_key", "bareiss_det", "branch_data",
-    "build_slab", "certify", "closed_form_coefficient", "closed_form_coefficients",
-    "coefficient_after_branch", "e_coefficient", "eval_at_poly", "fs_coefficient",
-    "fs_expand", "full_support", "henselize", "newton_lift", "order_sequence",
-    "puiseux_support_constraints", "reconstruct", "series_div", "series_pow",
-    "substitute_shift", "substitute_tail", "uni_order", "wilczynski_minor",
+    "HenselForm", "InputError", "LiftError", "LiftReport", "MinorIndex", "NotAlgebraicError",
+    "NotSimpleRootError", "PrecisionError", "ReconstructionResult", "ReducedHenselEq",
+    "SupportShape", "TruncatedSeries", "WilczynskiSlab", "antilex_key", "bareiss_det",
+    "branch_data", "build_slab", "certify", "closed_form_coefficient",
+    "closed_form_coefficients", "coefficient_after_branch", "e_coefficient", "eval_at_poly",
+    "fs_coefficient", "fs_expand", "full_support", "henselize", "newton_lift",
+    "order_sequence", "reconstruct", "series_div", "series_pow", "substitute_shift",
+    "substitute_tail", "uni_order", "wilczynski_minor",
 ]

@@ -191,8 +191,8 @@ def _selftest_checks():
         seed = TruncatedSeries([1])
         bd = branch_data(e4, seed)
         assert (bd.k0, bd.i_k0, bd.omega0) == (0, 2, Fraction(2)), bd
-        trace = order_sequence(e4, seed, 1)
-        assert trace.order_at(0) == 2 and trace.order_at(1) == 3, trace
+        orders = order_sequence(e4, seed, 1)
+        assert orders == (2, 3), orders
 
     def check_triple():
         seed = TruncatedSeries([1, 1])

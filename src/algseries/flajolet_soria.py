@@ -330,21 +330,26 @@ def fs_expand(Q: ReducedHenselEq, precision: int, *,
 # -- the closed form for the tail coefficients of a simple root
 
 
-def _slots(i: int, j: int, k: int, i_k: int) -> list[tuple[int, tuple[int, ...], int]]:
+def _slots(i: int, j: int, k: int, i_k: int,
+           last: int | None = None) -> list[tuple[int, tuple[int, ...], int]]:
     """Ways a factor a_{i,j} can enter a Hensel-form coefficient.
 
     Each slot is (m, L, base): a y-exponent m <= j, a spread L of j - m
     over the seed coefficients c_1..c_{k+1}, and the integer multinomial
     j!/(m! * L!).  The slot's x-level l = ||L|| + m(k+1) + i - i_k must be
     at least 1; the upper bound (k+1)*dy + dx - i_k and the per-level cap
-    on m hold automatically.
+    on m hold automatically.  Given ``last``, only slots with l <= last are
+    kept: the levels of an assignment are at least 1 each and sum to its
+    index p, so no slot above the largest requested index is ever used.
     """
     out = []
     for m in range(0, j + 1):
+        top = (k + 1) * (j - m)
+        if last is not None:
+            top = min(top, last - m * (k + 1) - i + i_k)
         # the walks' pruning, and so their node counts, depend on this
         # order: m rising (so |L| falling), spreads lexicographic
-        spreads = sorted(L for w in range(max(0, 1 - m * (k + 1) - i + i_k),
-                                          (k + 1) * (j - m) + 1)
+        spreads = sorted(L for w in range(max(0, 1 - m * (k + 1) - i + i_k), top + 1)
                          for L in weighted_compositions(k + 1, j - m, w))
         out.extend((m, L, comb(j, m) * multinomial(L)) for L in spreads)
     return out
@@ -501,7 +506,7 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
     # (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v)
     usable: list[tuple[int, int, int, list[tuple[int, int, int, int]]]] = []
     for (i, j), a in support:
-        slots = _slots(i, j, k, i_k)
+        slots = _slots(i, j, k, i_k, last)
         budget.spend(len(slots) + 1)
         table = []
         for _m, L, value in slots:

@@ -26,27 +26,6 @@ from .series import TruncatedSeries, _frac
 
 
 @dataclass(frozen=True)
-class OrderTrace:
-    """Recorded orders i_k and what they reveal about the seed.
-
-    ``stable_from`` is the least recorded k whose step to k+1 equals one,
-    provided every later recorded step does too; ``failure_at`` is the
-    first k whose order did not increase, which rules out every root of P
-    extending the seed.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    stable_from: int | None
-    failure_at: int | None
-
-    def order_at(self, k: int) -> int:
-        for kk, ik in self.entries:
-            if kk == k:
-                return ik
-        raise InputError(f"order at k={k} was not recorded")
-
-
-@dataclass(frozen=True)
 class BranchData:
     """Branch-separation index with the order and the nonzero scalar at it."""
 
@@ -94,28 +73,14 @@ def _scan(P: BivarPoly, c: TruncatedSeries) -> Iterator[BivarPoly]:
         yield current
 
 
-def order_sequence(P: BivarPoly, c: TruncatedSeries, k_max: int) -> OrderTrace:
-    """Orders i_k of the shifted polynomials for k = 0..k_max."""
+def order_sequence(P: BivarPoly, c: TruncatedSeries, k_max: int) -> tuple[int, ...]:
+    """Orders (i_0, ..., i_kmax) of the shifted polynomials."""
     _validate_inputs(P, c)
     if k_max < 0:
         raise InputError("k_max must be a natural number")
     if c.precision < k_max:
         raise PrecisionError(f"need {k_max} coefficients, have {c.precision}")
-    entries: list[tuple[int, int]] = []
-    failure_at = None
-    for k, current in zip(range(k_max + 1), _scan(P, c)):
-        i_k = current.x_order
-        entries.append((k, i_k))
-        if failure_at is None and k >= 2 and i_k <= entries[-2][1]:
-            failure_at = k
-    stable_from = None
-    if failure_at is None:
-        orders = [ik for _, ik in entries]
-        for k in range(len(orders) - 1):
-            if all(orders[t + 1] == orders[t] + 1 for t in range(k, len(orders) - 1)):
-                stable_from = k
-                break
-    return OrderTrace(tuple(entries), stable_from, failure_at)
+    return tuple(current.x_order for _, current in zip(range(k_max + 1), _scan(P, c)))
 
 
 def branch_data(P: BivarPoly, c: TruncatedSeries) -> BranchData:

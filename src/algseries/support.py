@@ -2,10 +2,8 @@
 
 A shape is a pair (F, G) of strictly increasing sequences of exponent
 pairs under the anti-lexicographic order (compare y-exponents first).
-F collects the terms that involve y, G the pure powers of x.  Shapes
-arise either as the full grid below given degree bounds or from the
-congruence constraints induced by reducing a Puiseux series with
-ramification p to an ordinary power series.
+F collects the terms that involve y, G the pure powers of x.  A shape is
+either the full grid below given degree bounds or any (F, G) passed in.
 """
 
 from __future__ import annotations
@@ -46,10 +44,6 @@ class SupportShape:
                 raise InputError(f"{name} must be strictly increasing anti-lexicographically")
 
     @property
-    def max_x(self) -> int:
-        return max(i for i, _ in self.F + self.G)
-
-    @property
     def max_y(self) -> int:
         return max(j for _, j in self.F)
 
@@ -57,52 +51,9 @@ class SupportShape:
         return all(i <= dx for i, _ in self.F + self.G) and all(j <= dy for _, j in self.F)
 
 
-@dataclass(frozen=True)
-class PuiseuxMeta:
-    """Reduction data of a Puiseux series: ramification p, start index n0,
-    and the y-degree bound of the sought vanishing polynomial."""
-
-    ramification: int
-    start_index: int
-    y_degree: int
-
-    def __post_init__(self):
-        if self.ramification < 1:
-            raise InputError("ramification must be a positive integer")
-        if self.y_degree < 1:
-            raise InputError("y-degree bound must be positive")
-
-
-def puiseux_support_constraints(meta: PuiseuxMeta, d_x: int) -> SupportShape:
-    """Admissible support for a vanishing polynomial of the reduced series.
-
-    Keeps the pairs (i, j) with i <= d_x, j <= y_degree satisfying
-    i = (n0 - 1) j mod p when n0 >= 1, and i = (1 - n0)(d_y - j) mod p
-    otherwise; j >= 1 goes to F, (i, 0) with i >= 1 goes to G.
-    """
-    if d_x < 0:
-        raise InputError("x-degree bound must be a natural number")
-    p = meta.ramification
-    n0 = meta.start_index
-    d_y = meta.y_degree
-    F = []
-    G = []
-    for j in range(0, d_y + 1):
-        residue = (n0 - 1) * j if n0 >= 1 else (1 - n0) * (d_y - j)
-        for i in range(0, d_x + 1):
-            if (i - residue) % p != 0:
-                continue
-            if j >= 1:
-                F.append((i, j))
-            elif i >= 1:
-                G.append((i, 0))
-    F.sort(key=antilex_key)
-    G.sort(key=antilex_key)
-    if not F:
-        raise InputError("constraints leave no admissible y-term")
-    return SupportShape(tuple(F), tuple(G))
-
-
 def full_support(dx: int, dy: int) -> SupportShape:
-    """The unconstrained shape: every (i, j) below the bounds."""
-    return puiseux_support_constraints(PuiseuxMeta(1, 1, dy), dx)
+    """The unconstrained shape: every (i, j) below the bounds, in anti-lex
+    order."""
+    F = tuple((i, j) for j in range(1, dy + 1) for i in range(dx + 1))
+    G = tuple((i, 0) for i in range(1, dx + 1))
+    return SupportShape(F, G)

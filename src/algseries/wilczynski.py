@@ -200,7 +200,8 @@ class WilczynskiSlab:
     ``row_labels`` are the surviving row indices of the unreduced matrix
     (1-based; the rows pointed at by G are skipped).  ``entries[r][c]``
     holds the coefficient of x^(label_r - i) in y0^j for the c-th shape
-    column (i, j).  ``powers[j]`` caches the expansion of y0^j.
+    column (i, j).  ``powers[j]`` caches the expansion of y0^j through
+    x^(depth + |G|), the last power a row can read.
     """
 
     shape: SupportShape
@@ -243,10 +244,11 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
         if n not in removed:
             labels.append(n)
         n += 1
-    top_j = shape.max_y
+    # no row reads past label depth + |G|, so neither do the powers;
     # y0^j = y0^(j-1) * y0: one product per power
-    powers = [series_pow(c, 0, c.precision)]
-    for _ in range(top_j):
+    c = c.truncate(needed)
+    powers = [series_pow(c, 0, needed)]
+    for _ in range(shape.max_y):
         powers.append(powers[-1] * c)
     entries = tuple(
         tuple(powers[j].coefficient(label - i) for (i, j) in shape.F)

@@ -50,8 +50,7 @@ def test_criterion_1_fixture_expansion():
     seed = TruncatedSeries([1])
     bd = branch_data(E4_POLY, seed)
     assert (bd.k0, bd.i_k0, bd.omega0) == (0, 2, F(2))
-    trace = order_sequence(E4_POLY, seed, 1)
-    assert trace.order_at(0) == 2 and trace.order_at(1) == 3
+    assert order_sequence(E4_POLY, seed, 1) == (2, 3)
     _bd, coeffs = extended_seed(E4_POLY, [F(1)])
     expansion = newton_lift(E4_POLY, coeffs, 10).series
     assert expansion.one_based()[:5] == (1, 1, 0, -1, F(-1, 2))
@@ -128,8 +127,7 @@ def test_criterion_5_bound_suite(batch):
             violations += 1
         if bd.k0 > dxdy + 1:
             violations += 1
-        trace = order_sequence(P, lift.series, lift.series.precision)
-        orders = dict(trace.entries)
+        orders = order_sequence(P, lift.series, lift.series.precision)
         for kk in range(bd.k0, lift.series.precision):
             if orders[kk + 1] != orders[kk] + 1:
                 violations += 1

@@ -1,6 +1,7 @@
 import importlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -310,7 +311,8 @@ def test_budget_at_and_one_below_the_node_count(files, capsys):
 
 def test_budget_exit_three_with_long_seed(files, capsys):
     # y^2 - x y^2 + y - 2xy - x has the root x/(1 - x): a 100-term seed
-    # makes the closed form's slot lists long; the walk visits 13170 nodes
+    # makes the closed form's slot lists long; capped at the last requested
+    # index, the slot tables and the walk charge 2259 nodes
     poly = files["dir"] / "quad.json"
     poly.write_text(dumps(poly_to_obj(BivarPoly(
         {(0, 2): 1, (1, 2): -1, (0, 1): 1, (1, 1): -2, (1, 0): -1}))))
@@ -318,11 +320,26 @@ def test_budget_exit_three_with_long_seed(files, capsys):
     seed.write_text(dumps({"coefficients": ["1"] * 100}))
     argv = ["expand", "--poly", str(poly), "--seed", str(seed), "--count", "3",
             "--method", "closed", "--budget"]
-    code, obj = run(capsys, argv + ["13170"])
+    code, obj = run(capsys, argv + ["2259"])
     assert code == 0 and obj["coefficients"] == ["1", "1", "1"]
-    code, obj = run(capsys, argv + ["13169"])
+    code, obj = run(capsys, argv + ["2258"])
     assert code == 3
-    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 13169 nodes"}
+    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 2258 nodes"}
+
+
+@pytest.mark.parametrize("d", [200, 1000])
+def test_closed_form_tables_stop_at_the_request(files, capsys, d):
+    # y - x + y^d has the root x; the y^d term has slots up to level ~3d,
+    # but a request for three tail coefficients reads only levels 1..3
+    poly = files["dir"] / "yd.json"
+    poly.write_text(dumps(poly_to_obj(BivarPoly({(0, 1): 1, (1, 0): -1, (0, d): 1}))))
+    seed = files["dir"] / "seed3.json"
+    seed.write_text(dumps({"coefficients": ["1", "0", "0"]}))
+    start = time.perf_counter()
+    code, obj = run(capsys, ["expand", "--poly", str(poly), "--seed", str(seed),
+                             "--count", "3", "--method", "closed"])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and obj["coefficients"] == ["0", "0", "0"]
 
 
 def test_budget_exit_three_after_a_reimport(files, capsys):

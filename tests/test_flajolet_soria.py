@@ -203,6 +203,20 @@ def test_slots_match_filter_over_all_spreads():
         assert _slots(i, j, k, i_k) == _slots_by_filter(i, j, k, i_k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 6), st.integers(1, 4), st.integers(0, 12),
+       st.integers(-2, 16))
+def test_capped_slots_are_the_low_levels_of_the_full_table(i, j, k, i_k, last):
+    # capped at ``last``, the table keeps exactly the slots of x-level at
+    # most ``last``, in the uncapped table's order
+    def level(slot):
+        m, L, _base = slot
+        return sum((v + 1) * t for v, t in enumerate(L)) + m * (k + 1) + i - i_k
+
+    full = _slots(i, j, k, i_k)
+    assert _slots(i, j, k, i_k, last) == [s for s in full if level(s) <= last]
+
+
 # -- the closed form
 
 

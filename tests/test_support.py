@@ -1,46 +1,28 @@
 import pytest
 
-from algseries import (InputError, PuiseuxMeta, SupportShape, antilex_key,
-                       full_support, puiseux_support_constraints)
-
-
-def test_unramified_keeps_everything():
-    shape = puiseux_support_constraints(PuiseuxMeta(1, 1, 1), 1)
-    assert shape.F == ((0, 1), (1, 1))
-    assert shape.G == ((1, 0),)
-
-
-def test_even_ramification_start_one():
-    shape = puiseux_support_constraints(PuiseuxMeta(2, 1, 2), 2)
-    assert shape.F == ((0, 1), (2, 1), (0, 2), (2, 2))
-    assert shape.G == ((2, 0),)
-
-
-def test_even_ramification_start_two():
-    shape = puiseux_support_constraints(PuiseuxMeta(2, 2, 1), 2)
-    assert shape.F == ((1, 1),)
-    assert shape.G == ((2, 0),)
-
-
-def test_negative_start_uses_reversed_congruence():
-    # n0 <= 0: i = (1 - n0)(d_y - j) mod p
-    shape = puiseux_support_constraints(PuiseuxMeta(2, 0, 1), 2)
-    # j = 1: i = 0 mod 2; j = 0: i = 1 mod 2
-    assert shape.F == ((0, 1), (2, 1))
-    assert shape.G == ((1, 0),)
-
-
-def test_strictly_negative_start():
-    # n0 = -1: i = (1 - n0)(d_y - j) = 2 (2 - j) mod 3
-    shape = puiseux_support_constraints(PuiseuxMeta(3, -1, 2), 2)
-    assert shape.F == ((2, 1), (0, 2))
-    assert shape.G == ((1, 0),)
+from algseries import InputError, SupportShape, antilex_key, full_support
 
 
 def test_full_support_grid():
     shape = full_support(2, 2)
     assert shape.F == ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2))
     assert shape.G == ((1, 0), (2, 0))
+
+
+def test_full_support_is_the_sorted_grid():
+    for dx in range(7):
+        for dy in range(1, 7):
+            shape = full_support(dx, dy)
+            assert shape.F == tuple(sorted(((i, j) for i in range(dx + 1)
+                                            for j in range(1, dy + 1)), key=antilex_key))
+            assert shape.G == tuple((i, 0) for i in range(1, dx + 1))
+
+
+def test_full_support_rejects_bounds_without_a_y_term():
+    with pytest.raises(InputError):
+        full_support(2, 0)
+    with pytest.raises(InputError):
+        full_support(-1, 2)
 
 
 def test_antilex_order():
@@ -58,15 +40,8 @@ def test_shape_validation():
         SupportShape(F=(), G=((1, 0),))
 
 
-def test_meta_validation():
-    with pytest.raises(InputError):
-        PuiseuxMeta(0, 1, 1)
-    with pytest.raises(InputError):
-        PuiseuxMeta(1, 1, 0)
-
-
 def test_bounds_check():
     shape = full_support(2, 2)
     assert shape.within_bounds(2, 2)
     assert not shape.within_bounds(1, 2)
-    assert shape.max_x == 2 and shape.max_y == 2
+    assert shape.max_y == 2

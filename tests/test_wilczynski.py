@@ -127,6 +127,16 @@ def test_slab_columns_are_f_only():
     assert len(slab.entries[0]) == len(E3_SHAPE.F)
 
 
+def test_slab_reads_only_its_depth():
+    # no row reads past label depth + |G|: a long series gives the entries
+    # of its cut, and the cached powers stop there
+    c = newton_lift(E4_POLY, [1], 200).series
+    needed = 8 + len(E3_SHAPE.G)
+    slab = build_slab(E3_SHAPE, c, 8)
+    assert slab.entries == build_slab(E3_SHAPE, c.truncate(needed), 8).entries
+    assert all(power.precision == needed for power in slab.powers)
+
+
 def test_slab_requires_precision_and_unit_valuation():
     with pytest.raises(PrecisionError):
         build_slab(E3_SHAPE, TruncatedSeries([1, 1]), 8)
@@ -341,9 +351,7 @@ def test_reconstruct_with_empty_g():
 def test_reconstruct_under_ramification_constraints():
     # reduced series of a square root: only even x-powers are admissible,
     # and the reconstruction lands on y^2 - x^2
-    from algseries import PuiseuxMeta, puiseux_support_constraints
-
-    shape = puiseux_support_constraints(PuiseuxMeta(2, 1, 2), 2)
+    shape = SupportShape(F=((0, 1), (2, 1), (0, 2), (2, 2)), G=((2, 0),))
     c = TruncatedSeries([1] + [0] * 9)
     result = reconstruct(shape, c, 2, 2)
     assert result.poly == BivarPoly({(0, 2): 1, (2, 0): -1})
