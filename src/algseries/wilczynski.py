@@ -17,16 +17,17 @@ order-d minors of those d + 1 columns on any d rows where the first d
 columns are independent: the minor formula of the paper, with the rows
 found by elimination instead of by search.
 
-The elimination runs mod the prime p = 2^61 - 1 on the rows lifted to
-integers, and the answer stays exact.  A minor nonzero mod p is nonzero,
-so rank mod p is at most rank over Q, and full column rank mod p proves
-full rank over Q.  Below it, each non-pivot column's kernel vector is
-rationally reconstructed and checked to annihilate the integer rows
-exactly; those vectors are independent, so rank over Q is at most rank mod
-p, and the two ranks, pivot columns and relations agree.  Should a
-reconstruction or a check fail, fraction-free elimination of the same
-integer rows answers; it is also the exact determinant behind
-``wilczynski_minor``.
+The elimination runs mod a prime p on the rows lifted to integers, and the
+answer stays exact.  A minor nonzero mod p is nonzero, so rank mod p is at
+most rank over Q, and full column rank mod p proves full rank over Q.
+Below it, each non-pivot column's kernel vector is rationally
+reconstructed and checked to annihilate the integer rows exactly; those
+vectors are independent, so rank over Q is at most rank mod p, and the two
+ranks, pivot columns and relations agree.  Should a reconstruction or a
+check fail (an unlucky prime, or entries too large for p), the
+elimination runs again mod the next, larger Mersenne prime, and each
+prime's answer stands or falls on its own check.  Fraction-free
+elimination is the one exact determinant, behind ``wilczynski_minor``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ from .support import SupportShape, antilex_key
 
 
 # -- exact linear algebra over the rationals: Gauss-Jordan elimination mod
-#    a prime, verified exactly over Q, with fraction-free elimination as
-#    the fallback and as the one exact determinant
+#    primes of growing size until one is verified exactly over Q, and
+#    fraction-free elimination as the one exact determinant
 
-_PRIME = 2 ** 61 - 1
+# Mersenne exponents (OEIS A000043): each prime 2^e - 1 has about twice the
+# bits of the last, and is formed only when needed (the last three take 0.6 MB)
+_MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2203, 4253, 9689, 19937, 44497, 86243, 216091,
+                       756839, 1257787, 2976221)
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -67,9 +71,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
     columns taken left to right.
 
     Returns the pivot columns, the last pivot d and the sign of the row
-    permutation.  Row k then holds d in column ``pivots[k]`` and 0 in the
-    other pivot columns, so the rows over d are the reduced row echelon
-    form over Q.  Every entry stays a minor of the input (Sylvester's
+    permutation.  Every entry stays a minor of the input (Sylvester's
     identity), which makes each division by the previous pivot exact
     (Bareiss 1968); for a square matrix of full rank, sign * d is its
     determinant.
@@ -169,28 +171,21 @@ def _slab_kernel(rows: Sequence[Sequence[Fraction]]
     column's entries of the reduced row echelon form on the pivot columns
     before it, 0 elsewhere.  None when the columns are independent.
 
-    The elimination runs mod ``_PRIME`` and is verified over Q as the module
-    docstring explains.  When a reconstruction or a check fails (an unlucky
-    prime, or entries too large to reconstruct from one prime),
-    fraction-free elimination of the same integer rows answers instead.
+    The elimination runs mod 2^e - 1 for each e of ``_MERSENNE_EXPONENTS``
+    in turn and returns the first answer whose kernel vectors pass the
+    exact check, as the module docstring explains.
     """
     lifted, _scale = _integer_rows(rows)
-    p = _PRIME
-    reduced = [[v % p for v in row] for row in lifted]
-    pivots = _reduce_mod(reduced, p)
     ncols = len(rows[0]) if rows else 0
-    vectors = [_kernel_vector(pivots, reduced, j, p) for j in range(ncols) if j not in pivots]
-    if all(vec is not None and _annihilates(lifted, vec) for vec in vectors):
-        return tuple(pivots), tuple(vectors[0]) if vectors else None
-    pivots, d, _sign = _bareiss(lifted)
-    if len(pivots) == ncols:
-        return tuple(pivots), None
-    dep = next(j for j in range(ncols) if j not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[dep] = Fraction(1)
-    for k in range(dep):  # the columns before dep are the pivots 0..dep-1
-        vec[k] = Fraction(-lifted[k][dep], d)
-    return tuple(pivots), tuple(vec)
+    for e in _MERSENNE_EXPONENTS:
+        p = 2 ** e - 1
+        reduced = [[v % p for v in row] for row in lifted]
+        pivots = _reduce_mod(reduced, p)
+        vectors = [_kernel_vector(pivots, reduced, j, p) for j in range(ncols) if j not in pivots]
+        if all(vec is not None and _annihilates(lifted, vec) for vec in vectors):
+            return tuple(pivots), tuple(vectors[0]) if vectors else None
+    raise AssertionError("no prime passed the exact check, yet one above 2 H^2, H the largest "
+                         "minor, divides no nonzero minor and reconstructs every reduced entry")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
@@ -462,7 +463,14 @@ def real_slabs(draw):
 @given(data=st.data())
 def test_kernel_matches_reference_on_rational_matrices(corank, data):
     rows = data.draw(low_rank_matrices(corank))
-    assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+    expected = reference_kernel(rows)
+    assert wilczynski._slab_kernel(rows) == expected
+    # a tiny prime in front: its wrong answers must fail the exact check
+    tiny = data.draw(st.sampled_from([3, 7]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wilczynski, "_MERSENNE_EXPONENTS",
+                   (tiny.bit_length(),) + wilczynski._MERSENNE_EXPONENTS)
+        assert wilczynski._slab_kernel(rows) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,20 +507,28 @@ def outcome(shape, c, dx, dy):
     return rank, result.rank, result.poly
 
 
-@pytest.mark.parametrize("prime", [3, 5])
+def counting_reduce_mod(monkeypatch):
+    """Patch ``_reduce_mod`` to record the prime of every elimination."""
+    reduce_mod = wilczynski._reduce_mod
+    primes = []
+    monkeypatch.setattr(wilczynski, "_reduce_mod",
+                        lambda rows, p: primes.append(p) or reduce_mod(rows, p))
+    return primes
+
+
+@pytest.mark.parametrize("prime", [3, 7])
 def test_tiny_prime_falls_back_to_the_same_answers(prime, monkeypatch):
-    # mod 3 or 5 the rank often drops and reconstructed vectors are wrong:
-    # only the exact check over Q and the fraction-free fallback keep the
+    # mod 3 or 7 the rank often drops and reconstructed vectors are wrong:
+    # only the exact check over Q and the next, larger prime keep the
     # answers
     cases = fallback_cases()
     expected = [outcome(*case) for case in cases]
     assert len({len(e) for e in expected}) == 2  # positives and negatives
-    bareiss = wilczynski._bareiss
-    calls = []
-    monkeypatch.setattr(wilczynski, "_PRIME", prime)
-    monkeypatch.setattr(wilczynski, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    monkeypatch.setattr(wilczynski, "_MERSENNE_EXPONENTS",
+                        (prime.bit_length(),) + wilczynski._MERSENNE_EXPONENTS)
+    primes = counting_reduce_mod(monkeypatch)
     assert [outcome(*case) for case in cases] == expected
-    assert calls
+    assert 2 ** 61 - 1 in primes  # the tiny prime failed the check at least once
     for shape, c, dx, dy in cases:
         rows = build_slab(shape, c, 2 * dx * dy).entries
         assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
@@ -521,22 +537,55 @@ def test_tiny_prime_falls_back_to_the_same_answers(prime, monkeypatch):
 def test_relation_beyond_one_prime(tmp_path, capsys, monkeypatch):
     # y - x + K x y^2 - 3 x^2 y with K near 2^40: scaled to 1 on its leading
     # term x y^2, the relation has denominators K, past what one 61-bit
-    # prime reconstructs, so the fraction-free fallback answers
+    # prime reconstructs, so 2^127 - 1 answers
     K = 2 ** 40 + 15
     P = BivarPoly({(0, 1): 1, (1, 0): -1, (1, 2): K, (2, 1): -3})
     series = tmp_path / "root.json"
     series.write_text(dumps(series_to_obj(newton_lift(P, [1], 2 * 2 * 2 + 2).series)))
     argv = ["implicitize", "--series", str(series), "--dx", "2", "--dy", "2"]
-    bareiss = wilczynski._bareiss
-    calls = []
-    monkeypatch.setattr(wilczynski, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    primes = counting_reduce_mod(monkeypatch)
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert calls
+    assert primes == [2 ** 61 - 1, 2 ** 127 - 1]
     assert json.loads(out)["polynomial"] == poly_to_obj(P)
     monkeypatch.setattr(wilczynski, "_slab_kernel", reference_kernel)
     assert main(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_large_relation_needs_only_the_next_prime(monkeypatch):
+    # a (6, 6) root whose x y coefficient is near 2^40: one 61-bit prime
+    # cannot reconstruct the relation, 2^127 - 1 can, and no elimination of
+    # the whole slab over the integers is left to slow it down
+    rng = random.Random(1)
+    inst = None
+    while inst is None:
+        inst = henselian_instance(rng, 6, 6)
+    P, seed = inst
+    terms = P.terms
+    terms[(1, 1)] = terms.get((1, 1), 0) + 2 ** 40 + 15
+    P = BivarPoly(terms)
+    c = newton_lift(P, seed[:1], 2 * 36 + 6 + 4).series
+    primes = counting_reduce_mod(monkeypatch)
+    start = time.perf_counter()
+    result = reconstruct(full_support(6, 6), c, 6, 6)
+    elapsed = time.perf_counter() - start
+    assert result.poly == P.primitive_normalized() and result.rank == 41
+    assert primes == [2 ** 61 - 1, 2 ** 127 - 1]
+    assert elapsed < 5.0
+
+
+def test_mersenne_exponents_give_primes():
+    exponents = wilczynski._MERSENNE_EXPONENTS
+    assert all(a < b for a, b in zip(exponents, exponents[1:]))
+    for e in exponents:
+        if e > 4253:
+            break
+        # Lucas-Lehmer: 2^e - 1 is prime iff s_(e-2) = 0, s_0 = 4, s_(k+1) = s_k^2 - 2
+        m, s = 2 ** e - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % m
+        assert s == 0, e
 
 
 def test_elimination_matches_sympy_nullspace():
