@@ -97,7 +97,8 @@ def _cmd_expand(args) -> tuple[dict, int]:
             results[method] = [report.series.coefficient(k + 1 + p)
                                for p in range(1, args.count + 1)]
         elif method == "fs":
-            form = henselize(P, base, k, branch=bd)
+            # fs reads no term of the Hensel table past x^count
+            form = henselize(P, base, k, branch=bd, last=args.count)
             if form.polynomial_root is not None:
                 results[method] = [Fraction(0)] * args.count
             else:

@@ -172,7 +172,7 @@ def coefficient_after_branch(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: in
 
 
 def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
-              branch: BranchData | None = None) -> HenselForm:
+              branch: BranchData | None = None, last: int | None = None) -> HenselForm:
     """Reduce P at the prefix z_{k+1} to the tail's Henselian equation.
 
     Requires k + 1 seed coefficients, and k strictly past the
@@ -181,7 +181,9 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
     returned instead of an equation.  Otherwise the table b_{l,m} of
     Q_k(x, y) = sum b_{l,m} x^l y^m is produced from the multinomial
     formula, with l running to (k+1)*dy + dx - i_k and m capped by
-    min((l + i_k) / (k+1), dy).
+    min((l + i_k) / (k+1), dy).  Given ``last``, l stops there too: every
+    term carries x^l with l >= 1 and the tail has no constant term, so the
+    tail's first ``last`` coefficients read no term beyond x^last.
 
     ``branch`` is the caller's ``branch_data`` of the same root, for a
     z_{k+1} the caller has already checked with ``leaves_branch``; given
@@ -214,6 +216,8 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
     support = sorted(P.terms.items())
     terms: dict[tuple[int, int], Fraction] = {}
     lmax = (k + 1) * dy + dx - i_k
+    if last is not None:
+        lmax = min(lmax, last)
     for l in range(1, lmax + 1):
         m_top = min((l + i_k) // (k + 1), dy)
         for m in range(0, m_top + 1):
@@ -225,4 +229,7 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
                         acc += a * comb(j, m) * power
             if acc:
                 terms[(l, m)] = -acc / bd.omega0
-    return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=ReducedHenselEq(terms))
+    # the m = 0 terms are those of -P(x, z) / (omega0 x^i_k), nonzero past the
+    # exact-root test, although a table cut at ``last`` may hold none of them
+    eq = ReducedHenselEq(terms, pure_x_nonzero=True)
+    return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=eq)

@@ -17,33 +17,41 @@ order-d minors of those d + 1 columns on any d rows where the first d
 columns are independent: the minor formula of the paper, with the rows
 found by elimination instead of by search.
 
-The elimination runs mod a prime p on the rows lifted to integers, and the
-answer stays exact.  A minor nonzero mod p is nonzero, so rank mod p is at
-most rank over Q, and full column rank mod p proves full rank over Q.
-Below it, each non-pivot column's kernel vector is rationally
-reconstructed and checked to annihilate the integer rows exactly; those
-vectors are independent, so rank over Q is at most rank mod p, and the two
-ranks, pivot columns and relations agree.  Should a reconstruction or a
-check fail (an unlucky prime, or entries too large for p), the
-elimination runs again mod the next, larger Mersenne prime, and each
-prime's answer stands or falls on its own check.  Fraction-free
-elimination is the one exact determinant, behind ``wilczynski_minor``.
+The slab is built on integers: with the series cleared to N/D, its rows
+are D^dy times the rational slab, entry N^j[label - i] * D^(dy - j) for
+column (i, j), dy the largest y-exponent of F.  The scale is one number
+for every entry, so rank, pivot columns and kernel vectors are those of
+the rational slab.  The elimination runs mod a prime p on these rows, and
+the answer stays exact.  A minor nonzero mod p is nonzero, so rank mod p
+is at most rank over Q, and full column rank mod p of any rows proves
+full column rank over Q.  Below it, each non-pivot column's kernel vector
+is rationally reconstructed and checked to annihilate every row exactly;
+those vectors are independent, so rank over Q is at most rank mod p, and
+the two ranks, pivot columns and relations agree.  So each prime first
+eliminates only the first |F| rows, and eliminates all of them only when
+that answer fails the check on the whole slab.  Should that fail too (an
+unlucky prime, or entries too large for p), the same runs again mod the
+next, larger Mersenne prime, and each answer stands or falls on its own
+check.  Fraction-free elimination is the one exact determinant, behind
+``wilczynski_minor``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
-from .bivar import BivarPoly, eval_at_poly
+from .bivar import BivarPoly, _powers, eval_at_poly
 from .errors import InputError, NotAlgebraicError, PrecisionError
-from .series import TruncatedSeries, _frac, series_pow
+from .series import TruncatedSeries, _clear, _frac
+from .series import series_pow  # unused; bound because bench/tracing.py wraps it
 from .support import SupportShape, antilex_key
 
 
-# -- exact linear algebra over the rationals: Gauss-Jordan elimination mod
+# -- exact linear algebra over the rationals: Gaussian elimination mod
 #    primes of growing size until one is verified exactly over Q, and
 #    fraction-free elimination as the one exact determinant
 
@@ -109,9 +117,9 @@ def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:
 
 
 def _reduce_mod(rows: list[list[int]], p: int) -> list[int]:
-    """Gauss-Jordan elimination mod p, in place; returns the pivot columns.
-    Row k ends with 1 in column ``pivots[k]`` and 0 in the other pivot
-    columns."""
+    """Gaussian elimination mod p to row echelon form, in place; returns
+    the pivot columns.  Row k ends with 1 in column ``pivots[k]`` and 0
+    before it, and the rows below the last pivot row are 0."""
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
@@ -122,9 +130,9 @@ def _reduce_mod(rows: list[list[int]], p: int) -> list[int]:
         inv = pow(rows[top][col], -1, p)
         # the pivot row is 0 before col, so only columns from col on change
         lead = rows[top][col:] = [v * inv % p for v in rows[top][col:]]
-        for r, row in enumerate(rows):
+        for row in rows[top + 1:]:
             f = row[col]
-            if f and r != top:
+            if f:
                 # slab rows are sparse: a zero in the pivot row skips the product
                 row[col:] = [(a - f * b) % p if b else a for a, b in zip(row[col:], lead)]
         pivots.append(col)
@@ -143,17 +151,21 @@ def _rational(u: int, p: int) -> Fraction | None:
 
 def _kernel_vector(pivots: Sequence[int], reduced: Sequence[Sequence[int]], j: int,
                    p: int) -> list[Fraction] | None:
-    """The RREF kernel vector of non-pivot column j, rationally
-    reconstructed: 1 at j, minus row k's entry at ``pivots[k]``."""
+    """The kernel vector of non-pivot column j, rationally reconstructed:
+    1 at j, 0 at the other non-pivot columns, and on the pivot columns
+    before j what back-substitution through the echelon rows gives (column
+    j of the reduced row echelon form, negated)."""
     vec = [Fraction(0)] * len(reduced[0])
     vec[j] = Fraction(1)
-    for k, col in enumerate(pivots):
-        if col > j:
-            break
-        q = _rational(-reduced[k][j] % p, p)
+    solved: list[tuple[int, int]] = []  # (pivot column, value mod p), last pivot first
+    for k in reversed(range(bisect(pivots, j))):
+        row = reduced[k]
+        value = -(row[j] + sum(row[c] * v for c, v in solved)) % p
+        q = _rational(value, p)
         if q is None:
             return None
-        vec[col] = q
+        vec[pivots[k]] = q
+        solved.append((pivots[k], value))
     return vec
 
 
@@ -164,46 +176,52 @@ def _annihilates(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> bool
     return all(not sum(row[c] * w for c, w in support) for row in rows)
 
 
-def _slab_kernel(rows: Sequence[Sequence[Fraction]]
+def _slab_kernel(rows: Sequence[Sequence[int]]
                  ) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None]:
-    """Pivot columns of ``rows`` over Q, columns taken left to right, and
-    the kernel vector of the first non-pivot column: 1 there, minus that
-    column's entries of the reduced row echelon form on the pivot columns
-    before it, 0 elsewhere.  None when the columns are independent.
+    """Pivot columns of the integer ``rows`` over Q, columns taken left to
+    right, and the kernel vector of the first non-pivot column: 1 there,
+    minus that column's entries of the reduced row echelon form on the
+    pivot columns before it, 0 elsewhere.  None when the columns are
+    independent.
 
-    The elimination runs mod 2^e - 1 for each e of ``_MERSENNE_EXPONENTS``
-    in turn and returns the first answer whose kernel vectors pass the
-    exact check, as the module docstring explains.
+    For each e of ``_MERSENNE_EXPONENTS`` in turn, the first len(rows[0])
+    rows are eliminated mod 2^e - 1, then, if that answer fails, all the
+    rows; the first answer whose kernel vectors annihilate every row
+    exactly is returned, as the module docstring explains.
     """
-    lifted, _scale = _integer_rows(rows)
     ncols = len(rows[0]) if rows else 0
+    heads = (rows[:ncols], rows) if len(rows) > ncols else (rows,)
     for e in _MERSENNE_EXPONENTS:
         p = 2 ** e - 1
-        reduced = [[v % p for v in row] for row in lifted]
-        pivots = _reduce_mod(reduced, p)
-        vectors = [_kernel_vector(pivots, reduced, j, p) for j in range(ncols) if j not in pivots]
-        if all(vec is not None and _annihilates(lifted, vec) for vec in vectors):
-            return tuple(pivots), tuple(vectors[0]) if vectors else None
+        for head in heads:
+            reduced = [[v % p for v in row] for row in head]
+            pivots = _reduce_mod(reduced, p)
+            vectors = [_kernel_vector(pivots, reduced, j, p)
+                       for j in range(ncols) if j not in pivots]
+            if all(vec is not None and _annihilates(rows, vec) for vec in vectors):
+                return tuple(pivots), tuple(vectors[0]) if vectors else None
     raise AssertionError("no prime passed the exact check, yet one above 2 H^2, H the largest "
                          "minor, divides no nonzero minor and reconstructs every reduced entry")
 
 
 @dataclass(frozen=True)
 class WilczynskiSlab:
-    """Finite depth-N truncation of the reduced Wilczynski matrix.
+    """Finite depth-N truncation of the reduced Wilczynski matrix, on
+    integers over one denominator.
 
     ``row_labels`` are the surviving row indices of the unreduced matrix
-    (1-based; the rows pointed at by G are skipped).  ``entries[r][c]``
-    holds the coefficient of x^(label_r - i) in y0^j for the c-th shape
-    column (i, j).  ``powers[j]`` caches the expansion of y0^j through
+    (1-based; the rows pointed at by G are skipped).  ``rows[r][c]`` /
+    ``den`` is the coefficient of x^(label_r - i) in y0^j for the c-th
+    shape column (i, j).  ``powers[j]`` / ``den`` is y0^j through
     x^(depth + |G|), the last power a row can read.
     """
 
     shape: SupportShape
     row_labels: tuple[int, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     depth: int
-    powers: tuple[TruncatedSeries, ...]
+    powers: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -219,7 +237,10 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
     """First ``depth`` surviving rows of the reduced matrix of ``shape``.
 
     Requires c_1 != 0 and precision at least depth + |G| so that the
-    skipped rows cannot eat into the requested depth.
+    skipped rows cannot eat into the requested depth.  The series, cut to
+    depth + |G|, is cleared once to N / D; the powers N^j are integer
+    products (``_powers``, as in evaluation), and N^j * D^(dy - j) / D^dy
+    is y0^j, dy the largest y-exponent of F.
     """
     if depth < 0:
         raise InputError("depth must be a natural number")
@@ -239,17 +260,17 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
         if n not in removed:
             labels.append(n)
         n += 1
-    # no row reads past label depth + |G|, so neither do the powers;
-    # y0^j = y0^(j-1) * y0: one product per power
-    c = c.truncate(needed)
-    powers = [series_pow(c, 0, needed)]
-    for _ in range(shape.max_y):
-        powers.append(powers[-1] * c)
-    entries = tuple(
-        tuple(powers[j].coefficient(label - i) for (i, j) in shape.F)
-        for label in labels
-    )
-    return WilczynskiSlab(shape, tuple(labels), entries, depth, tuple(powers))
+    # no row reads past label depth + |G|, so neither do the powers
+    D, N = _clear(c.coefficients()[: needed + 1])
+    top = shape.max_y
+    powers = []
+    for j, power in enumerate(_powers(N, top, needed)):
+        scale = D ** (top - j)
+        # N^0 = [1] is padded to the length of the others
+        powers.append(tuple(v * scale for v in power) + (0,) * (needed + 1 - len(power)))
+    rows = tuple(tuple(powers[j][label - i] if label >= i else 0 for (i, j) in shape.F)
+                 for label in labels)
+    return WilczynskiSlab(shape, tuple(labels), rows, D ** top, depth, tuple(powers))
 
 
 def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
@@ -271,8 +292,8 @@ def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
         raise InputError(f"column {missing} not in the shape") from None
     if idx.rows[0] < 1 or idx.rows[-1] > len(slab.row_labels):
         raise InputError("row pick outside the slab")
-    sub = [[slab.entries[r - 1][cc] for cc in cols] for r in idx.rows]
-    return bareiss_det(sub)
+    sub = [[slab.rows[r - 1][cc] for cc in cols] for r in idx.rows]
+    return bareiss_det(sub) / slab.den ** order
 
 
 def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:
@@ -303,44 +324,43 @@ class ReconstructionResult:
     conditional: bool = True
 
 
-def _constant_terms(shape: SupportShape, a_F: dict[tuple[int, int], Fraction],
-                    powers: tuple[TruncatedSeries, ...]) -> dict[tuple[int, int], Fraction]:
+def _constant_terms(slab: WilczynskiSlab, a_F: dict[tuple[int, int], Fraction]
+                    ) -> dict[tuple[int, int], Fraction]:
     """Pure-x coefficients forced by the F-part: a_{k,0} cancels the
-    coefficient of x^k in the partial combination."""
+    coefficient of x^k in the partial combination, read off the slab's
+    integer powers."""
     out = dict(a_F)
-    for (k, _zero) in shape.G:
-        acc = Fraction(0)
-        for (i, j), a in a_F.items():
-            if i < k:
-                acc += a * powers[j].coefficient(k - i)
+    for (k, _zero) in slab.shape.G:
+        acc = sum((a * slab.powers[j][k - i] for (i, j), a in a_F.items() if i < k), Fraction(0))
         if acc:
-            out[(k, 0)] = -acc
+            out[(k, 0)] = -acc / slab.den
     return out
 
 
 def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> ReconstructionResult:
     """Reconstruct a certified vanishing polynomial with support in F + G.
 
-    One elimination of the depth-2*dx*dy slab gives its rank r.  Below full
-    column rank, the first F-column (in anti-lex order) that depends on the
-    earlier ones yields the relation returned: coefficient 1 on that column
-    and minus its reduced entries on the pivot columns before it.  This is
-    the slab-kernel vector whose leading F-term is anti-lex minimal, unique
-    up to scale.  Rank and relation are exact although the elimination runs
-    mod a prime: full column rank mod p implies full rank over Q, and below
-    it a kernel vector per non-pivot column, verified over Q, bounds the
-    rank over Q by the rank mod p (``_slab_kernel``).  The pure-x terms are
-    then forced, and the polynomial is certified at depth 2*dx*dy through
-    direct evaluation, independently of the slab.  A slab-kernel vector
-    zeroes every slab row and the forced terms zero the rows G removed, so
-    the certificate cannot fail; should it, NotAlgebraicError is raised.
+    Elimination of the depth-2*dx*dy slab, of its first |F| rows when they
+    suffice, gives its rank r.  Below full column rank, the first F-column
+    (in anti-lex order) that depends on the earlier ones yields the relation
+    returned: coefficient 1 on that column and minus its reduced entries on
+    the pivot columns before it.  This is the slab-kernel vector whose
+    leading F-term is anti-lex minimal, unique up to scale.  Rank and
+    relation are exact although the elimination runs mod a prime: full
+    column rank mod p implies full rank over Q, and below it a kernel vector
+    per non-pivot column, verified over Q, bounds the rank over Q by the
+    rank mod p (``_slab_kernel``).  The pure-x terms are then forced, and
+    the polynomial is certified at depth 2*dx*dy through direct evaluation,
+    independently of the slab.  A slab-kernel vector zeroes every slab row
+    and the forced terms zero the rows G removed, so the certificate cannot
+    fail; should it, NotAlgebraicError is raised.
     """
     if dx < 1 or dy < 1:
         raise InputError("degree bounds must be at least 1")
     if not shape.within_bounds(dx, dy):
         raise InputError("shape exceeds the degree bounds")
     slab = build_slab(shape, c, 2 * dx * dy)
-    pivots, relation = _slab_kernel(slab.entries)
+    pivots, relation = _slab_kernel(slab.rows)
     rank = len(pivots)
     if relation is None:
         raise NotAlgebraicError(
@@ -348,7 +368,7 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
             f"slab has full column rank {rank}"
         )
     a_F = {pair: a for pair, a in zip(shape.F, relation) if a}
-    poly = BivarPoly(_constant_terms(shape, a_F, slab.powers))
+    poly = BivarPoly(_constant_terms(slab, a_F))
     if not certify(poly, c, dx, dy):
         raise NotAlgebraicError(
             f"the slab relation fails certification at depth {2 * dx * dy}: "

@@ -2,6 +2,7 @@ import importlib
 import json
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -340,6 +341,28 @@ def test_closed_form_tables_stop_at_the_request(files, capsys, d):
                              "--count", "3", "--method", "closed"])
     assert time.perf_counter() - start < 10
     assert code == 0 and obj["coefficients"] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize("method", ["fs", "all"])
+def test_hensel_table_stops_at_the_request(files, capsys, method):
+    # the Hensel table of y - x + y^200 runs to x^600, but a request for
+    # three tail coefficients reads only x^1..x^3; the cut table holds no
+    # term free of y, which is no reason to warn
+    poly = files["dir"] / "y200.json"
+    poly.write_text(dumps(poly_to_obj(BivarPoly({(0, 1): 1, (1, 0): -1, (0, 200): 1}))))
+    seed = files["dir"] / "seed3.json"
+    seed.write_text(dumps({"coefficients": ["1", "0", "0"]}))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, obj = run(capsys, ["expand", "--poly", str(poly), "--seed", str(seed),
+                                 "--count", "3", "--method", method])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    coefficients = obj["coefficients"]
+    assert (coefficients if method == "fs" else coefficients["fs"]) == ["0", "0", "0"]
+    if method == "all":
+        assert obj["agree"] is True
 
 
 def test_budget_exit_three_after_a_reimport(files, capsys):

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -181,6 +182,25 @@ def test_henselize_reconstructs_shifted_polynomial():
             key = (l + form.i_k, m)
             recon[key] = recon.get(key, F(0)) - form.omega0 * b
         assert BivarPoly(recon) == substitute_tail(P, z, k + 1)
+
+
+def test_capped_table_is_the_low_levels_of_the_full_table():
+    # given ``last``, the table stops at x^last; nothing below changes, and
+    # a cut that drops every m = 0 term gives no warning
+    rng = random.Random(26)
+    for P, seed, bd in liftable_instances(rng, 10):
+        k = bd.k0 + 1
+        root = newton_lift(P, seed, k + 1).series
+        full = henselize(P, root, k)
+        if full.polynomial_root is not None:
+            continue
+        for last in (1, 2, 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                capped = henselize(P, root, k, last=last)
+            assert capped.eq.terms == {(l, m): b for (l, m), b in full.eq.terms.items()
+                                       if l <= last}
+            assert (capped.k0, capped.i_k, capped.omega0) == (full.k0, full.i_k, full.omega0)
 
 
 def test_henselize_detects_polynomial_root():

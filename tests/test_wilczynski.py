@@ -80,6 +80,11 @@ def reference_kernel(rows):
     return echelon.pivots, tuple(vec)
 
 
+def entries(slab):
+    """The rational slab: each integer row entry over the slab's denominator."""
+    return tuple(tuple(F(v, slab.den) for v in row) for row in slab.rows)
+
+
 def random_series(rng, precision):
     return TruncatedSeries([nonzero_rational(rng)] +
                            [rational(rng) for _ in range(precision - 1)])
@@ -95,22 +100,25 @@ def test_slab_entry_pattern():
     # row 2 is removed; surviving labels start 1, 3, 4, 5, ...
     assert slab.row_labels == (1, 3, 4, 5, 6, 7, 8, 9)
     powers = [series_pow(c, j, 9) for j in range(3)]
+    rational = entries(slab)
     # row label 3: (c_1, 2 c_1 c_2, 0) in columns (2,1), (0,2), (2,2)
-    assert slab.entries[1][0] == c.coefficient(1)
-    assert slab.entries[1][1] == 2 * c.coefficient(1) * c.coefficient(2)
-    assert slab.entries[1][2] == 0
+    assert rational[1][0] == c.coefficient(1)
+    assert rational[1][1] == 2 * c.coefficient(1) * c.coefficient(2)
+    assert rational[1][2] == 0
     # every entry is the shifted power-series coefficient
     for r, label in enumerate(slab.row_labels):
         for col, (i, j) in enumerate(E3_SHAPE.F):
-            assert slab.entries[r][col] == powers[j].coefficient(label - i)
+            assert rational[r][col] == powers[j].coefficient(label - i)
 
 
 def test_slab_numeric_instantiation():
     c = TruncatedSeries([1, 1, 0, -1, F(-1, 2), 0, 0, 0, 0])
     slab = build_slab(E3_SHAPE, c, 8)
-    assert slab.entries[0] == (0, 0, 0)
-    assert slab.entries[1] == (1, 2, 0)
-    assert slab.entries[2] == (1, 1, 1)
+    assert entries(slab)[0] == (0, 0, 0)
+    assert entries(slab)[1] == (1, 2, 0)
+    assert entries(slab)[2] == (1, 1, 1)
+    # cleared to N / 2, the integer rows are 2^2 times the rational ones
+    assert slab.den == 4 and slab.rows[1] == (4, 8, 0)
 
 
 def test_slab_with_empty_g_is_unreduced():
@@ -120,12 +128,12 @@ def test_slab_with_empty_g_is_unreduced():
     slab = build_slab(shape, c, 5)
     assert slab.row_labels == (1, 2, 3, 4, 5)
     for r in range(5):
-        assert slab.entries[r][0] == c.coefficient(r + 1)
+        assert entries(slab)[r][0] == c.coefficient(r + 1)
 
 
 def test_slab_columns_are_f_only():
     slab = build_slab(E3_SHAPE, ROOT16, 8)
-    assert len(slab.entries[0]) == len(E3_SHAPE.F)
+    assert len(entries(slab)[0]) == len(E3_SHAPE.F)
 
 
 def test_slab_reads_only_its_depth():
@@ -134,8 +142,8 @@ def test_slab_reads_only_its_depth():
     c = newton_lift(E4_POLY, [1], 200).series
     needed = 8 + len(E3_SHAPE.G)
     slab = build_slab(E3_SHAPE, c, 8)
-    assert slab.entries == build_slab(E3_SHAPE, c.truncate(needed), 8).entries
-    assert all(power.precision == needed for power in slab.powers)
+    assert entries(slab) == entries(build_slab(E3_SHAPE, c.truncate(needed), 8))
+    assert all(len(power) == needed + 1 for power in slab.powers)
 
 
 def test_slab_requires_precision_and_unit_valuation():
@@ -253,12 +261,13 @@ def test_minors_dual_route_agreement():
         F=((0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)), G=((1, 0), (2, 0)))
     c = random_series(rng, 10)
     slab = build_slab(shape6, c, 8)
+    rational = entries(slab)
     for order in (2, 4, 6):
         for _ in range(5):
             rows = tuple(sorted(rng.sample(range(1, 9), order)))
             cols = tuple(sorted(rng.sample(range(6), order)))
             cols = tuple(shape6.F[c_] for c_ in cols)
-            sub = [[slab.entries[r - 1][shape6.F.index(cc)] for cc in cols]
+            sub = [[rational[r - 1][shape6.F.index(cc)] for cc in cols]
                    for r in rows]
             assert wilczynski_minor(slab, MinorIndex(rows, cols)) == reference_eliminate(sub).det
 
@@ -285,7 +294,7 @@ def test_random_series_not_algebraic():
     hits = 0
     for _ in range(10):
         c = random_series(rng, 9)
-        pivots, relation = wilczynski._slab_kernel(build_slab(E3_SHAPE, c, 8).entries)
+        pivots, relation = wilczynski._slab_kernel(build_slab(E3_SHAPE, c, 8).rows)
         if relation is None:
             hits += 1
             assert len(pivots) == len(E3_SHAPE.F)
@@ -407,10 +416,10 @@ def test_rank_at_non_minimal_bounds():
     c = newton_lift(P, seed, 2 * 4 * 4 + 4).series
     shape = full_support(4, 4)
     slab = build_slab(shape, c, 2 * 4 * 4)
-    nullity = len(shape.F) - len(reference_eliminate(slab.entries).pivots)
+    nullity = len(shape.F) - len(reference_eliminate(entries(slab)).pivots)
     assert nullity > 1
     result = reconstruct(shape, c, 4, 4)
-    rank = len(wilczynski._slab_kernel(slab.entries)[0])
+    rank = len(wilczynski._slab_kernel(slab.rows)[0])
     assert result.rank == rank == len(shape.F) - nullity
     assert certify(result.poly, c, 4, 4)
 
@@ -455,7 +464,7 @@ def real_slabs(draw):
         first = draw(st.one_of(SMALL_RATIONALS, HIGH_RATIONALS).filter(bool))
         rest = draw(st.lists(ENTRIES, min_size=precision - 1, max_size=precision - 1))
         c = TruncatedSeries([first] + rest)
-    return build_slab(full_support(bx, by), c, 2 * bx * by).entries
+    return build_slab(full_support(bx, by), c, 2 * bx * by).rows
 
 
 @pytest.mark.parametrize("corank", [0, 1, 2, 3])
@@ -464,6 +473,7 @@ def real_slabs(draw):
 def test_kernel_matches_reference_on_rational_matrices(corank, data):
     rows = data.draw(low_rank_matrices(corank))
     expected = reference_kernel(rows)
+    rows, _scale = wilczynski._integer_rows(rows)
     assert wilczynski._slab_kernel(rows) == expected
     # a tiny prime in front: its wrong answers must fail the exact check
     tiny = data.draw(st.sampled_from([3, 7]))
@@ -499,7 +509,7 @@ def fallback_cases():
 
 
 def outcome(shape, c, dx, dy):
-    rank = len(wilczynski._slab_kernel(build_slab(shape, c, 2 * dx * dy).entries)[0])
+    rank = len(wilczynski._slab_kernel(build_slab(shape, c, 2 * dx * dy).rows)[0])
     try:
         result = reconstruct(shape, c, dx, dy)
     except NotAlgebraicError as exc:
@@ -508,12 +518,13 @@ def outcome(shape, c, dx, dy):
 
 
 def counting_reduce_mod(monkeypatch):
-    """Patch ``_reduce_mod`` to record the prime of every elimination."""
+    """Patch ``_reduce_mod`` to record the prime and the row count of
+    every elimination."""
     reduce_mod = wilczynski._reduce_mod
-    primes = []
+    calls = []
     monkeypatch.setattr(wilczynski, "_reduce_mod",
-                        lambda rows, p: primes.append(p) or reduce_mod(rows, p))
-    return primes
+                        lambda rows, p: calls.append((p, len(rows))) or reduce_mod(rows, p))
+    return calls
 
 
 @pytest.mark.parametrize("prime", [3, 7])
@@ -526,27 +537,52 @@ def test_tiny_prime_falls_back_to_the_same_answers(prime, monkeypatch):
     assert len({len(e) for e in expected}) == 2  # positives and negatives
     monkeypatch.setattr(wilczynski, "_MERSENNE_EXPONENTS",
                         (prime.bit_length(),) + wilczynski._MERSENNE_EXPONENTS)
-    primes = counting_reduce_mod(monkeypatch)
+    calls = counting_reduce_mod(monkeypatch)
     assert [outcome(*case) for case in cases] == expected
-    assert 2 ** 61 - 1 in primes  # the tiny prime failed the check at least once
+    # the tiny prime failed the check at least once
+    assert 2 ** 61 - 1 in {p for p, _ in calls}
     for shape, c, dx, dy in cases:
-        rows = build_slab(shape, c, 2 * dx * dy).entries
+        rows = build_slab(shape, c, 2 * dx * dy).rows
         assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+
+
+def leading_rows_short():
+    """Matrices whose first len(rows[0]) rows have lower rank than the
+    whole: two of integers, and the E3 slab of a random series, whose row
+    label 1 is zero."""
+    full = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 0, 1], [1, 1, 1]]
+    # column 2 is column 0 plus column 1; the first four rows have rank 1
+    deficient = [[1, 1, 2, 0], [0, 0, 0, 0], [2, 2, 4, 0], [0, 0, 0, 0],
+                 [0, 1, 1, 0], [0, 0, 0, 5], [1, 0, 1, 7]]
+    slab = build_slab(E3_SHAPE, random_series(random.Random(20), 9), 8).rows
+    return [full, deficient, slab]
+
+
+@pytest.mark.parametrize("rows", leading_rows_short())
+def test_leading_rows_of_lower_rank_need_all_rows(rows, monkeypatch):
+    ncols = len(rows[0])
+    head_rank = len(reference_eliminate(rows[:ncols]).pivots)
+    assert head_rank < len(reference_eliminate(rows).pivots)
+    calls = counting_reduce_mod(monkeypatch)
+    assert wilczynski._slab_kernel(rows) == reference_kernel(rows)
+    # the answer of the first |F| rows fails the exact check on a later row
+    assert calls == [(2 ** 61 - 1, ncols), (2 ** 61 - 1, len(rows))]
 
 
 def test_relation_beyond_one_prime(tmp_path, capsys, monkeypatch):
     # y - x + K x y^2 - 3 x^2 y with K near 2^40: scaled to 1 on its leading
     # term x y^2, the relation has denominators K, past what one 61-bit
-    # prime reconstructs, so 2^127 - 1 answers
+    # prime reconstructs on the first |F| = 6 rows or on all 8, so
+    # 2^127 - 1 answers on the first 6
     K = 2 ** 40 + 15
     P = BivarPoly({(0, 1): 1, (1, 0): -1, (1, 2): K, (2, 1): -3})
     series = tmp_path / "root.json"
     series.write_text(dumps(series_to_obj(newton_lift(P, [1], 2 * 2 * 2 + 2).series)))
     argv = ["implicitize", "--series", str(series), "--dx", "2", "--dy", "2"]
-    primes = counting_reduce_mod(monkeypatch)
+    calls = counting_reduce_mod(monkeypatch)
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert primes == [2 ** 61 - 1, 2 ** 127 - 1]
+    assert calls == [(2 ** 61 - 1, 6), (2 ** 61 - 1, 8), (2 ** 127 - 1, 6)]
     assert json.loads(out)["polynomial"] == poly_to_obj(P)
     monkeypatch.setattr(wilczynski, "_slab_kernel", reference_kernel)
     assert main(argv) == 0
@@ -566,12 +602,13 @@ def test_large_relation_needs_only_the_next_prime(monkeypatch):
     terms[(1, 1)] = terms.get((1, 1), 0) + 2 ** 40 + 15
     P = BivarPoly(terms)
     c = newton_lift(P, seed[:1], 2 * 36 + 6 + 4).series
-    primes = counting_reduce_mod(monkeypatch)
+    calls = counting_reduce_mod(monkeypatch)
     start = time.perf_counter()
     result = reconstruct(full_support(6, 6), c, 6, 6)
     elapsed = time.perf_counter() - start
     assert result.poly == P.primitive_normalized() and result.rank == 41
-    assert primes == [2 ** 61 - 1, 2 ** 127 - 1]
+    # |F| = 42 rows of 72, then all 72 at 2^61 - 1, then 42 at 2^127 - 1
+    assert calls == [(2 ** 61 - 1, 42), (2 ** 61 - 1, 72), (2 ** 127 - 1, 42)]
     assert elapsed < 5.0
 
 
@@ -605,10 +642,10 @@ def test_elimination_matches_sympy_nullspace():
     for shape, c, dx, dy in cases:
         slab = build_slab(shape, c, 2 * dx * dy)
         matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
-                               for row in slab.entries])
+                               for row in entries(slab)])
         basis = matrix.nullspace()
         coranks.append(len(basis))
-        assert len(wilczynski._slab_kernel(slab.entries)[0]) == len(shape.F) - len(basis)
+        assert len(wilczynski._slab_kernel(slab.rows)[0]) == len(shape.F) - len(basis)
         if not basis:
             with pytest.raises(NotAlgebraicError):
                 reconstruct(shape, c, dx, dy)
