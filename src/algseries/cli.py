@@ -17,7 +17,6 @@ exception's type and message, the traceback going to stderr).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -44,20 +43,11 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-BUDGET_ENV = "ALGSERIES_BUDGET"
-
 
 def _budget_from(args) -> EnumerationBudget:
-    limit = args.budget
-    if limit is None:
-        env = os.environ.get(BUDGET_ENV)
-        try:
-            limit = int(env) if env else DEFAULT_NODE_BUDGET
-        except ValueError:
-            raise InputError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    if limit <= 0:
+    if args.budget <= 0:
         raise InputError("budget must be positive")
-    return EnumerationBudget(limit=limit)
+    return EnumerationBudget(limit=args.budget)
 
 
 def _emit(args, payload: dict) -> None:
@@ -99,10 +89,7 @@ def _cmd_expand(args) -> tuple[dict, int]:
         elif method == "fs":
             # fs reads no term of the Hensel table past x^count
             form = henselize(P, base, k, branch=bd, last=args.count)
-            if form.polynomial_root is not None:
-                results[method] = [Fraction(0)] * args.count
-            else:
-                results[method] = list(fs_expand(form.eq, args.count, budget=budget).one_based())
+            results[method] = list(fs_expand(form.eq, args.count, budget=budget).one_based())
         else:
             results[method] = closed_form_coefficients(P, coeffs, k, i_k, bd.omega0,
                                                        args.count, budget=budget)
@@ -153,9 +140,6 @@ def _cmd_henselize(args) -> tuple[dict, int]:
     P = poly_from_obj(load_json(args.poly))
     seed = series_from_obj(load_json(args.seed))
     form = henselize(P, seed, args.k)
-    if form.polynomial_root is not None:
-        return {"polynomial_root": True,
-                "z": [rat_to_str(c) for c in form.polynomial_root]}, EXIT_OK
     payload = {
         "k0": form.k0,
         "i_k": form.i_k,
@@ -263,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     # only expand enumerates, so only expand takes a node budget
     command("expand", "tail coefficients of a simple root", _cmd_expand, poly=path, seed=path,
             count=number, method={"choices": ["fs", "closed", "newton", "all"], "default": "all"},
-            budget={"type": int, "default": None,
-                    "help": f"enumeration node budget (default {DEFAULT_NODE_BUDGET}, "
-                            f"env {BUDGET_ENV})"})
+            budget={"type": int, "default": DEFAULT_NODE_BUDGET,
+                    "help": f"enumeration node budget (default {DEFAULT_NODE_BUDGET})"})
     command("implicitize", "reconstruct a vanishing polynomial", _cmd_implicitize,
             series=path, dx=number, dy=number, shape={"default": None})
     command("henselize", "reduced Henselian equation of the tail", _cmd_henselize,

@@ -81,7 +81,6 @@ same way and make one Fraction per index n and size m.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -157,15 +156,12 @@ class ReducedHenselEq:
     """Equation y = Q(x, y) with Q(0,0) = dQ/dy(0,0) = 0.
 
     ``terms`` maps (l, m) to the coefficient of x^l y^m in Q.  When
-    Q(x, 0) vanishes identically the unique solution is y = 0; that input
-    is accepted with a warning rather than rejected.  ``pure_x_nonzero``
-    states that Q(x, 0) does not vanish, for terms cut at some x^l that
-    may hold none of its terms, and no warning is given.
+    Q(x, 0) vanishes identically the unique solution is y = 0.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping, *, pure_x_nonzero: bool = False):
+    def __init__(self, terms: Mapping):
         cleaned: dict[tuple[int, int], Fraction] = {}
         for key, value in terms.items():
             l, m = int(key[0]), int(key[1])
@@ -178,8 +174,6 @@ class ReducedHenselEq:
             raise InputError("reduced Henselian equation cannot have a constant term")
         if (0, 1) in cleaned:
             raise InputError("reduced Henselian equation cannot have a bare y term")
-        if not pure_x_nonzero and not any(m == 0 for _, m in cleaned):
-            warnings.warn("Q(x, 0) vanishes identically; the solution is y = 0")
         self._terms = cleaned
 
     @property

@@ -36,15 +36,15 @@ class BranchData:
 
 @dataclass(frozen=True)
 class HenselForm:
-    """Either a reduced Henselian equation for the tail past z_{k+1}, or
-    the discovery that z_{k+1} is itself an exact polynomial root."""
+    """The reduced Henselian equation y = Q_k(x, y) for the tail past
+    z_{k+1}, with the branch index, the order i_k and omega0 it came from.
+    When z_{k+1} is an exact root of P, Q_k(x, 0) = 0 and the tail is 0."""
 
     k: int
-    k0: int | None = None
-    i_k: int | None = None
-    omega0: Fraction | None = None
-    eq: ReducedHenselEq | None = None
-    polynomial_root: tuple[Fraction, ...] | None = None
+    k0: int
+    i_k: int
+    omega0: Fraction
+    eq: ReducedHenselEq
 
 
 def _validate_inputs(P: BivarPoly, c: TruncatedSeries) -> None:
@@ -177,18 +177,19 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
 
     Requires k + 1 seed coefficients, and k strictly past the
     branch-separation index of z_{k+1} = c_1..c_{k+1}, which is all of the
-    seed that is read.  When z_{k+1} is an exact root of P that polynomial is
-    returned instead of an equation.  Otherwise the table b_{l,m} of
-    Q_k(x, y) = sum b_{l,m} x^l y^m is produced from the multinomial
-    formula, with l running to (k+1)*dy + dx - i_k and m capped by
-    min((l + i_k) / (k+1), dy).  Given ``last``, l stops there too: every
+    seed that is read.  The table b_{l,m} of Q_k(x, y) = sum b_{l,m} x^l y^m
+    is produced from the multinomial formula, with l running to
+    (k+1)*dy + dx - i_k and m capped by min((l + i_k) / (k+1), dy).  Its
+    m = 0 terms are those of -P(x, z_{k+1}) / (omega0 x^i_k), so an exact
+    root z_{k+1} gets a table with none and the tail 0, like any other
+    equation with Q(x, 0) = 0.  Given ``last``, l stops there too: every
     term carries x^l with l >= 1 and the tail has no constant term, so the
     tail's first ``last`` coefficients read no term beyond x^last.
 
     ``branch`` is the caller's ``branch_data`` of the same root, for a
     z_{k+1} the caller has already checked with ``leaves_branch``; given
-    it, neither the scan nor that check runs again.  The exact-root test
-    and the requirement k0 < k hold either way.
+    it, neither the scan nor that check runs again.  The requirement
+    k0 < k holds either way.
     """
     _validate_inputs(P, c)
     if k < 1:
@@ -196,8 +197,6 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
     if c.precision < k + 1:
         raise PrecisionError(f"need {k + 1} seed coefficients, have {c.precision}")
     z = [c.coefficient(n) for n in range(1, k + 2)]
-    if not eval_at_poly(P, z):
-        return HenselForm(k=k, polynomial_root=tuple(z))
     bd = branch
     if bd is None:
         try:
@@ -229,7 +228,4 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
                         acc += a * comb(j, m) * power
             if acc:
                 terms[(l, m)] = -acc / bd.omega0
-    # the m = 0 terms are those of -P(x, z) / (omega0 x^i_k), nonzero past the
-    # exact-root test, although a table cut at ``last`` may hold none of them
-    eq = ReducedHenselEq(terms, pure_x_nonzero=True)
-    return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=eq)
+    return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=ReducedHenselEq(terms))

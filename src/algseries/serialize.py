@@ -1,12 +1,18 @@
 """JSON file formats: rationals as canonical "num/den" strings, series as
 1-based coefficient arrays with a precision field, polynomials as term
 lists, shapes as F/G pair lists.  Output is deterministic (sorted keys,
-fixed separators)."""
+fixed separators).
+
+Integers are read under the interpreter's int <-> str digit limit
+(``sys.get_int_max_str_digits``), so that a huge literal costs no
+quadratic parse; a longer one is an input error.  Output is exact at any
+length."""
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Any
@@ -25,11 +31,21 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _too_many_digits(where: str) -> InputError:
+    return InputError(f"{where} has an integer past the "
+                      f"{sys.get_int_max_str_digits()}-digit limit")
+
+
 def rat_to_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(Fraction(value))
+    except ValueError:  # past the digit limit, which guards input only
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(Fraction(value))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -40,8 +56,11 @@ def parse_rat(text: str) -> Fraction:
     m = _RAT.fullmatch(text)
     if not m:
         raise InputError(f"not a canonical rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:
+        raise _too_many_digits("rational") from None
     if m.group(1) == "-0":
         raise InputError("zero is written '0'")
     if den == 1 and m.group(2):
@@ -134,3 +153,7 @@ def load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8: {exc}") from exc
+    except ValueError:  # an integer literal past the digit limit
+        raise _too_many_digits(path) from None

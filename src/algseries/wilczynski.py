@@ -61,59 +61,42 @@ _MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2203, 4253, 9689, 19937, 44497, 86243
                        756839, 1257787, 2976221)
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Each row times the least common multiple of its denominators, and
-    the product of those multipliers.  Scaling rows changes neither the
-    rank nor the kernel."""
-    scale = 1
-    lifted: list[list[int]] = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row))
-        scale *= mult
-        lifted.append([v.numerator * (mult // v.denominator) for v in row])
-    return lifted, scale
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
-    columns taken left to right.
-
-    Returns the pivot columns, the last pivot d and the sign of the row
-    permutation.  Every entry stays a minor of the input (Sylvester's
-    identity), which makes each division by the previous pivot exact
-    (Bareiss 1968); for a square matrix of full rank, sign * d is its
-    determinant.
-    """
-    pivots: list[int] = []
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free forward
+    elimination, in place.  Every entry stays a minor of the input
+    (Sylvester's identity), which makes each division by the previous pivot
+    exact (Bareiss 1968); the last pivot is the determinant up to the sign
+    of the row swaps."""
     prev = sign = 1
-    for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            continue
-        if pivot != top:
-            rows[top], rows[pivot] = rows[pivot], rows[top]
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        lead_row = rows[top]
+        lead_row = rows[col]
         lead = lead_row[col]
-        for r, row in enumerate(rows):
-            if r != top:
-                f = row[col]
-                rows[r] = [(lead * a - f * b) // prev for a, b in zip(row, lead_row)]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(lead * a - f * b) // prev for a, b in zip(rows[r], lead_row)]
         prev = lead
-        pivots.append(col)
-    return pivots, prev, sign
+    return sign * prev
 
 
 def bareiss_det(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free elimination on an integer lift."""
+    """Exact determinant: each row cleared to integers over its own
+    denominator, then fraction-free elimination."""
     n = len(matrix)
     rows = [[_frac(v) for v in row] for row in matrix]
     if any(len(row) != n for row in rows):
         raise InputError("matrix must be square")
-    lifted, scale = _integer_rows(rows)
-    pivots, d, sign = _bareiss(lifted)
-    return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
+    scale, lifted = 1, []
+    for row in rows:
+        d, ints = _clear(row)
+        scale *= d
+        lifted.append(ints)
+    return Fraction(_int_det(lifted), scale)
 
 
 def _reduce_mod(rows: list[list[int]], p: int) -> list[int]:
@@ -293,7 +276,7 @@ def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
     if idx.rows[0] < 1 or idx.rows[-1] > len(slab.row_labels):
         raise InputError("row pick outside the slab")
     sub = [[slab.rows[r - 1][cc] for cc in cols] for r in idx.rows]
-    return bareiss_det(sub) / slab.den ** order
+    return Fraction(_int_det(sub), slab.den ** order)
 
 
 def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:

@@ -1,5 +1,4 @@
 import random
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError,
                        TruncatedSeries, branch_data, coefficient_after_branch,
-                       eval_at_poly, henselize, newton_lift, order_sequence, series_pow,
-                       substitute_tail, uni_order)
+                       eval_at_poly, fs_expand, henselize, newton_lift, order_sequence,
+                       series_pow, substitute_tail, uni_order)
 from algseries import henselization
 from algseries.henselization import _power_coefficient, _scan, leaves_branch
 from conftest import (E4_POLY, TANGENT, henselian_instance, late_branch_instances,
@@ -175,8 +174,6 @@ def test_henselize_reconstructs_shifted_polynomial():
         root = newton_lift(P, seed, k + 1).series
         z = list(root.one_based())[: k + 1]
         form = henselize(P, root, k)
-        if form.polynomial_root is not None:
-            continue
         recon = {(form.i_k, 1): form.omega0}
         for (l, m), b in form.eq.terms.items():
             key = (l + form.i_k, m)
@@ -185,28 +182,37 @@ def test_henselize_reconstructs_shifted_polynomial():
 
 
 def test_capped_table_is_the_low_levels_of_the_full_table():
-    # given ``last``, the table stops at x^last; nothing below changes, and
-    # a cut that drops every m = 0 term gives no warning
+    # given ``last``, the table stops at x^last; nothing below changes
     rng = random.Random(26)
     for P, seed, bd in liftable_instances(rng, 10):
         k = bd.k0 + 1
         root = newton_lift(P, seed, k + 1).series
         full = henselize(P, root, k)
-        if full.polynomial_root is not None:
-            continue
         for last in (1, 2, 5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                capped = henselize(P, root, k, last=last)
+            capped = henselize(P, root, k, last=last)
             assert capped.eq.terms == {(l, m): b for (l, m), b in full.eq.terms.items()
                                        if l <= last}
             assert (capped.k0, capped.i_k, capped.omega0) == (full.k0, full.i_k, full.omega0)
 
 
 def test_henselize_detects_polynomial_root():
+    # z_2 = x is an exact root of y - x: Q_1(x, 0) = 0 and the tail is 0
     form = henselize(LINEAR, TruncatedSeries([1, 0]), 1)
-    assert form.polynomial_root == (F(1), F(0))
-    assert form.eq is None and form.omega0 is None
+    assert (form.k0, form.i_k, form.omega0) == (0, 2, 1)
+    assert form.eq.terms == {}
+    assert fs_expand(form.eq, 3).one_based() == (0, 0, 0)
+
+
+def test_henselize_with_branch_data_evaluates_nothing(monkeypatch):
+    # given the caller's branch data, no evaluation P(x, z) runs
+    seed = TruncatedSeries([1, 1])
+    bd = branch_data(E4_POLY, seed)
+    expected = henselize(E4_POLY, seed, 1).eq.terms
+    calls = []
+    monkeypatch.setattr(henselization, "eval_at_poly",
+                        lambda *a, **kw: calls.append(a) or eval_at_poly(*a, **kw))
+    assert henselize(E4_POLY, seed, 1, branch=bd).eq.terms == expected
+    assert calls == []
 
 
 def test_henselize_preconditions():
@@ -223,9 +229,9 @@ def test_henselize_preconditions():
     apart = BivarPoly({(0, 2): 1, (1, 1): -2, (2, 0): 1, (2, 2): -1, (4, 0): 1, (5, 1): 1})
     with pytest.raises(InputError, match="k <= 0"):
         henselize(apart, TruncatedSeries([1, 0, 1, 0, 1]), 1)
-    # but an exact polynomial root short-circuits even below k0
-    form = henselize(TANGENT, TruncatedSeries([1, 0]), 1)
-    assert form.polynomial_root == (F(1), F(0))
+    # so does an exact polynomial root of a branch that separates later
+    with pytest.raises(InputError, match="k <= 0"):
+        henselize(TANGENT, TruncatedSeries([1, 0]), 1)
 
 
 def test_henselize_rejects_wrong_continuation():
