@@ -108,13 +108,9 @@ class BivarPoly:
         anti-lexicographically greatest support element."""
         if not self._terms:
             return self
-        den = 1
-        for c in self._terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = {k: c.numerator * (den // c.denominator) for k, c in self._terms.items()}
-        content = 0
-        for v in ints.values():
-            content = gcd(content, abs(v))
+        _, nums = _clear(list(self._terms.values()))
+        ints = dict(zip(self._terms, nums))
+        content = gcd(*nums)
         top = max(self._terms, key=lambda ij: (ij[1], ij[0]))
         sign = 1 if ints[top] > 0 else -1
         return BivarPoly({k: Fraction(sign * v, content) for k, v in ints.items()})

@@ -50,22 +50,27 @@ along a slot list, so it also stops once the size left exceeds what the
 remaining copies can still take, and the loop over candidate slots ends
 there.
 
-``fs_coefficient`` and ``fs_expand`` make one walk over the exponent
-vectors of Q for a window of indices [first, last].  A vector needs the
-balance y-weight - size = sum (m - 1) e to end at -1.  A term (l, m) with
-l >= 1 moves it by (m - 1) / l per unit of x-weight, and a term with l = 0
-(so m >= 2) can only raise it, so suffix minima and maxima of that rate
-bound the balance the rest of the support can reach with the x-weight
-left.  A child is pushed only when -1 is within those bounds, so every
-leaf is a vector.
+``fs_coefficient`` and ``fs_expand`` apply Flajolet-Soria's formula
+c_n = sum_m (1/m) [x^n y^(m-1)] Q^m to a window of indices [first, last]
+in one loop over the powers of Q, each the last one times Q.  An entry
+x^u y^v of Q^m is kept only if u <= last and u + v < last + m, and the
+cut is exact: an entry of Q^M at x^n y^(M-1) has balance v - (number of
+factors) = -1, only the x-only terms (l, 0) lower the balance, by one
+each and with l >= 1, so from x^u y^v in Q^m it can fall by at most
+last - u.  Every term but (1, 0) raises u + v - m by at least one and
+(1, 0) raises u, both capped by last, so the powers run empty and the
+loop ends.
 
-All enumerations run under a node budget and fail fast once it is
-exhausted; the formulas are exponential and must stay interactive.  They
-run from explicit stacks rather than by recursion, so a long seed or a
-polynomial with many terms costs time and budget but never stack depth.
-The walks count their nodes locally against the room the budget has left
-and charge it when the count passes that room (which raises) and when a
-walk ends.  ``weighted_compositions`` (the seed spreads of a given size
+All routes run under one budget and fail fast once it is exhausted; the
+closed form is exponential and must stay interactive.  Its walks run from
+explicit stacks rather than by recursion, so a long seed or a polynomial
+with many terms costs time and budget but never stack depth.  The walks
+count their nodes locally against the room the budget has left and charge
+it when the count passes that room (which raises) and when a walk ends.
+The Flajolet-Soria loop charges len(Q^m) times the number of terms it
+multiplies by (those with l + m <= last) before each product: the most
+term products that step can make, so its time and memory stay under the
+budget too.  ``weighted_compositions`` (the seed spreads of a given size
 and weight) and ``multinomial`` are the one enumerator and the one
 multinomial that the Hensel-form tables in ``henselization`` use as well.
 
@@ -95,7 +100,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass
 class EnumerationBudget:
-    """Mutable node counter shared by the enumerations of one request."""
+    """Mutable work counter shared by the routes of one request: one unit
+    per node of a closed-form walk, and one per term product the
+    Flajolet-Soria loop may make."""
 
     limit: int = DEFAULT_NODE_BUDGET
     used: int = 0
@@ -184,11 +191,6 @@ class ReducedHenselEq:
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._terms))
 
-    @property
-    def no_pure_x_powers(self) -> bool:
-        """True when no term is free of x, enabling the m <= n outer bound."""
-        return all(l >= 1 for l, _ in self._terms)
-
     def as_poly(self) -> BivarPoly:
         return BivarPoly(self._terms)
 
@@ -201,102 +203,41 @@ class ReducedHenselEq:
         return f"ReducedHenselEq({dict(sorted(self._terms.items()))!r})"
 
 
-def _exponent_vectors(support: Sequence[tuple[int, int]], first: int, last: int,
-                      size_cap: int, budget: EnumerationBudget
-                      ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
-    """(nonzero (support index, exponent) pairs, size, x-weight) of the
-    exponent vectors over ``support`` with x-weight in [first, last],
-    y-weight one less than the size, and size at most size_cap.
-
-    A child is pushed only when the terms after it can still bring the
-    balance y-weight - size to -1 (see the module docstring), so every leaf
-    is a vector.  Nodes are counted locally against the room the budget has
-    left; the count is charged when it passes that room (which raises),
-    before each vector is yielded and when the walk ends, so
-    ``budget.used`` is exact whenever the caller holds a vector.
-    """
-    end = len(support)
-    # bounds[t]: the least and greatest balance rate (m - 1) / l over the
-    # terms from t on with l >= 1, as (numerator, denominator) pairs, or
-    # None when none is left; rises[t]: a term with l = 0 is left
-    bounds: list = [None] * (end + 1)
-    rises = [False] * (end + 1)
-    rates = None
-    for t in range(end - 1, -1, -1):
-        l, m = support[t]
-        rises[t] = rises[t + 1] or not l
-        if l:
-            r = Fraction(m - 1, l)
-            rates = (min(r, rates[0]), max(r, rates[1])) if rates else (r, r)
-            bounds[t] = tuple((f.numerator, f.denominator) for f in rates)
-        else:
-            bounds[t] = bounds[t + 1]
-
-    def reach(t: int, xw: int, bal: int) -> bool:
-        # can the terms from t on, with x-weight last - xw at most and
-        # first - xw at least, move the balance by exactly -1 - bal?
-        need, r_lo, r_hi = -1 - bal, max(0, first - xw), last - xw
-        if bounds[t] is None:
-            return not r_lo and (need == 0 or need > 0 and rises[t])
-        (ln, ld), (hn, hd) = bounds[t]
-        if ln * (r_hi if ln < 0 else r_lo) > need * ld:
-            return False
-        return rises[t] or hn * (r_hi if hn > 0 else r_lo) >= need * hd
-
-    room = budget.limit - budget.used
-    nodes = 0
-    # depth-first from an explicit stack, children pushed in reverse so they
-    # are visited in increasing exponent order; a frame is (support index,
-    # x-weight, size, balance, the nonzero (index, exponent) pairs)
-    stack = [(0, 0, 0, 0, ())] if reach(0, 0, 0) else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        idx, xw, size, bal, chosen = pop()
-        nodes += 1
-        if nodes > room:
-            budget.spend(nodes)
-        if idx == end:
-            budget.spend(nodes)
-            nodes = 0
-            yield chosen, size, xw
-            room = budget.limit - budget.used
-            continue
-        l, m = support[idx]
-        nxt = idx + 1
-        for e in range((last - xw) // l if l else size_cap - size, 0, -1):
-            grown, moved = size + e, bal + (m - 1) * e
-            # the y-weight grown + moved never falls, so it is capped too
-            if grown <= size_cap and grown + moved < size_cap and reach(nxt, xw + l * e, moved):
-                push((nxt, xw + l * e, grown, moved, chosen + ((idx, e),)))
-        if reach(nxt, xw, bal):
-            push((nxt, xw, size, bal, chosen))
-    budget.spend(nodes)
-
-
 def _fs_window(Q: ReducedHenselEq, first: int, last: int,
                budget: EnumerationBudget | None) -> list[Fraction]:
-    """Coefficients of x^first..x^last in the solution of y = Q(x, y), from
-    one walk over the exponent vectors of the whole window."""
+    """Coefficients of x^first..x^last in the solution of y = Q(x, y), the
+    sums over m of [x^n y^(m-1)] Q^m / m, from one loop over the powers of
+    Q cut to the window (see the module docstring)."""
     if budget is None:
         budget = EnumerationBudget()
-    # every vector of x-weight at most ``last`` meets this size cap (see
-    # fs_coefficient), so it bounds the walk without dropping any
-    cap = last if Q.no_pure_x_powers else 2 * last - 1
-    # the coefficients as integer numerators over one denominator D, so a
-    # vector of size m contributes an integer over m * D^m
-    support = Q.support
-    coeffs = Q.terms
+    # a term with l + m > last puts x + y - (number of factors) at last or
+    # past it in every product it enters, so it never reaches the window
+    coeffs = {key: v for key, v in Q.terms.items() if sum(key) <= last}
+    # the coefficients as integer numerators over one denominator D, so
+    # [x^n y^(m-1)] Q^m is an integer over D^m
     D = lcm(*(v.denominator for v in coeffs.values()))
-    nums = [coeffs[key].numerator * (D // coeffs[key].denominator) for key in support]
-    sums: dict[tuple[int, int], int] = {}
-    for chosen, size, n in _exponent_vectors(support, first, last, cap, budget):
-        term = multinomial([e for _, e in chosen])
-        for t, e in chosen:
-            term *= nums[t] ** e
-        sums[n, size] = sums.get((n, size), 0) + term
+    terms = [(l, m, v.numerator * (D // v.denominator)) for (l, m), v in sorted(coeffs.items())]
     out = [Fraction(0)] * (last - first + 1)
-    for (n, m), acc in sums.items():
-        out[n - first] += Fraction(acc, m * D ** m)
+    power = {(0, 0): 1}
+    m = 0
+    while power:
+        budget.spend(len(power) * len(terms))
+        m += 1
+        cap = last + m
+        grown: dict[tuple[int, int], int] = {}
+        for (x, y), a in power.items():
+            for l, j, b in terms:
+                u = x + l
+                if u > last:
+                    break  # the terms are sorted by l
+                v = y + j
+                if u + v < cap:
+                    grown[u, v] = grown.get((u, v), 0) + a * b
+        power = grown
+        scale = m * D ** m
+        for (x, y), a in power.items():
+            if y == m - 1 and x >= first:
+                out[x - first] += Fraction(a, scale)
     return out
 
 
@@ -304,10 +245,9 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *,
                    budget: EnumerationBudget | None = None) -> Fraction:
     """Coefficient of x^n in the unique solution of y = Q(x, y).
 
-    Sums (1/m) * m!/prod(k!) * prod(coeff^k) over all exponent vectors k
-    with x-weight n and y-weight |k| - 1, the size m = |k| running up to
-    2n - 1.  When no term of Q is free of x the size is at most the
-    x-weight, so the bound tightens to m <= n; every Hensel form is such.
+    Sums (1/m) [x^n y^(m-1)] Q^m over m, the powers of Q cut to what can
+    still reach x^n y^(m-1).  Charges ``budget`` len(Q^m) times the
+    number of terms of Q with l + m <= n before each product by Q.
     """
     if n < 1:
         raise InputError("coefficient index must be at least 1")
@@ -316,8 +256,9 @@ def fs_coefficient(Q: ReducedHenselEq, n: int, *,
 
 def fs_expand(Q: ReducedHenselEq, precision: int, *,
               budget: EnumerationBudget | None = None) -> TruncatedSeries:
-    """Solution of y = Q(x, y) modulo x^(precision+1), from one walk over
-    the exponent vectors of every index 1..precision."""
+    """Solution of y = Q(x, y) modulo x^(precision+1), from one loop over
+    the powers of Q that serves every index 1..precision; charges
+    ``budget`` as ``fs_coefficient`` does."""
     if precision < 1:
         raise InputError("precision must be at least 1")
     return TruncatedSeries(_fs_window(Q, 1, precision, budget), precision=precision, start=1)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Sequence
 
 from .bivar import BivarPoly, _powers, eval_at_poly
@@ -154,8 +154,8 @@ def _kernel_vector(pivots: Sequence[int], reduced: Sequence[Sequence[int]], j: i
 
 def _annihilates(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> bool:
     """rows . vec == 0, exactly, on the integer-scaled vector."""
-    den = lcm(*(v.denominator for v in vec))
-    support = [(c, v.numerator * (den // v.denominator)) for c, v in enumerate(vec) if v]
+    _, nums = _clear(vec)
+    support = [(c, w) for c, w in enumerate(nums) if w]
     return all(not sum(row[c] * w for c, w in support) for row in rows)
 
 

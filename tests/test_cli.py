@@ -405,6 +405,39 @@ def test_hensel_table_stops_at_the_request(files, capsys, method):
         assert obj["agree"] is True
 
 
+# a dense (3,3) polynomial with a simple root through the origin, c_1 = 1
+D33 = BivarPoly({(0, 1): 2, (0, 2): 2, (0, 3): 2, (1, 0): -2, (1, 1): 2, (1, 2): -3,
+                 (2, 0): 2, (2, 1): 3, (2, 2): 2, (2, 3): 3, (3, 1): -2, (3, 3): 3})
+
+
+@pytest.fixture
+def d33_argv(files):
+    poly = files["dir"] / "d33.json"
+    poly.write_text(dumps(poly_to_obj(D33)))
+    seed = files["dir"] / "d33_seed.json"
+    seed.write_text(dumps({"coefficients": ["1"]}))
+    return ["expand", "--poly", str(poly), "--seed", str(seed)]
+
+
+def test_fs_answers_a_dense_root_at_count_40(d33_argv, capsys):
+    # the Flajolet-Soria sum by powers of Q is polynomial in the count
+    start = time.perf_counter()
+    code, obj = run(capsys, d33_argv + ["--count", "40", "--method", "fs"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    code, expect = run(capsys, d33_argv + ["--count", "40", "--method", "newton"])
+    assert code == 0 and obj["coefficients"] == expect["coefficients"]
+
+
+def test_fs_budget_bounds_a_long_request(d33_argv, capsys):
+    code = main(d33_argv + ["--count", "400", "--method", "fs", "--budget", "100000"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "BudgetError",
+                               "detail": "enumeration exceeded 100000 nodes"}
+
+
 def test_budget_exit_three_after_a_reimport(files, capsys):
     # the bench imports a fresh copy of the package for each set-up in one
     # process; a budget overrun in the first copy must still exit 3

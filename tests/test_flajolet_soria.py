@@ -6,7 +6,7 @@ from math import factorial
 from operator import sub
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
@@ -14,11 +14,10 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        closed_form_coefficient, closed_form_coefficients, e_coefficient,
                        eval_at_poly, fs_coefficient, fs_expand, henselize, newton_lift,
                        series, weighted_compositions)
-from algseries.flajolet_soria import (_e_walk, _exponent_vectors, _slot_walk, _slots,
-                                      multinomial)
+from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
 from algseries.henselization import _power_coefficient
-from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, late_branch_instances,
-                      liftable_instances, nonzero_rational, rational)
+from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, henselian_instance,
+                      late_branch_instances, liftable_instances, nonzero_rational, rational)
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
 
@@ -30,8 +29,6 @@ def test_eq_validation():
         ReducedHenselEq({(0, 1): 1, (1, 0): 1})
     # Q(x, 0) = 0 is accepted, and its solution is y = 0
     assert fs_expand(ReducedHenselEq({(1, 1): 1}), 3).one_based() == (0, 0, 0)
-    assert ReducedHenselEq({(1, 0): 1}).no_pure_x_powers
-    assert not CATALAN_EQ.no_pure_x_powers
 
 
 def test_fs_trivial_equation():
@@ -44,41 +41,21 @@ def test_fs_catalan():
     assert list(fs_expand(CATALAN_EQ, 6).one_based()) == [1, 1, 2, 5, 14, 42]
 
 
-def _fs_reference(Q, n, budget):
-    """The Flajolet-Soria sum over every size up to 2n - 1, uncapped."""
-    support, coeffs = Q.support, Q.terms
-    total = F(0)
-    for chosen, size, _ in _exponent_vectors(support, n, n, 2 * n - 1, budget):
-        term = F(multinomial([e for _, e in chosen]), size)
-        for t, e in chosen:
-            term *= coeffs[support[t]] ** e
-        total += term
-    return total
-
-
-def test_fs_support_cap_gates_on_flag():
-    # the m <= n truncation only applies when no term is free of x; here a
-    # pure y^2 term is present, so the enumeration is the full 2n - 1 one
+def test_fs_matches_reference_with_pure_y_terms():
+    # a pure y^2 term is present, so sizes run past n
     expected = fixed_point_expand(CATALAN_EQ, 6)
     for n in range(1, 7):
-        capped, full = EnumerationBudget(), EnumerationBudget()
-        assert fs_coefficient(CATALAN_EQ, n, budget=capped) == \
-            _fs_reference(CATALAN_EQ, n, full) == expected.coefficient(n)
-        assert capped.used == full.used
+        assert fs_coefficient(CATALAN_EQ, n) == expected.coefficient(n) \
+            == reference_fs_coefficient(CATALAN_EQ, n, EnumerationBudget())
 
 
-def test_fs_support_cap_consistent_on_hensel_equations():
-    # every term of a Hensel form carries x, so sizes stop at n: same sum
-    # as the 2n - 1 enumeration, and the balance bound already keeps the
-    # walk inside that cap, so both visit the same nodes
+def test_fs_matches_reference_on_hensel_equations():
+    # every term of a Hensel form carries x
     form = henselize(E4_POLY, TruncatedSeries([1, 1]), 1)
-    assert form.eq.no_pure_x_powers
     expected = fixed_point_expand(form.eq, 6)
-    for n, nodes in zip(range(1, 7), [0, 7, 10, 12, 22, 27]):
-        capped, full = EnumerationBudget(), EnumerationBudget()
-        assert fs_coefficient(form.eq, n, budget=capped) == \
-            _fs_reference(form.eq, n, full) == expected.coefficient(n)
-        assert capped.used == full.used == nodes
+    for n in range(1, 7):
+        assert fs_coefficient(form.eq, n) == expected.coefficient(n) \
+            == reference_fs_coefficient(form.eq, n, EnumerationBudget())
 
 
 def test_fs_matches_solution_shape_in_b():
@@ -141,16 +118,6 @@ def test_fs_long_support_does_not_recurse():
     # one stack frame per support term would pass the interpreter's limit
     q = ReducedHenselEq({(l, 0): 1 for l in range(1, 1501)})
     assert fs_coefficient(q, 3) == 1
-
-
-def test_composition_vectors_cache_their_norms():
-    # the walk fs_coefficient runs reports each vector's size and x-weight
-    budget = EnumerationBudget()
-    support = CATALAN_EQ.support
-    for chosen, size, x_weight in _exponent_vectors(support, 4, 4, 7, budget):
-        assert size == sum(e for _, e in chosen)
-        assert x_weight == sum(support[t][0] * e for t, e in chosen) == 4
-        assert sum(support[t][1] * e for t, e in chosen) == size - 1
 
 
 # -- the enumeration layer
@@ -357,12 +324,13 @@ def test_budget_failure_is_fast():
 
 
 def test_fs_budget_enforced():
-    # c_6 of the Catalan equation has one exponent vector, three nodes deep
-    budget = EnumerationBudget(limit=3)
+    # c_6 of the Catalan equation: each product by Q is charged len(Q^m)
+    # times its two terms, 84 in all
+    budget = EnumerationBudget(limit=84)
     assert fs_coefficient(CATALAN_EQ, 6, budget=budget) == 42
-    assert budget.used == 3
-    budget = EnumerationBudget(limit=2)
-    with pytest.raises(BudgetError, match="exceeded 2 nodes"):
+    assert budget.used == 84
+    budget = EnumerationBudget(limit=83)
+    with pytest.raises(BudgetError, match="exceeded 83 nodes"):
         fs_coefficient(CATALAN_EQ, 6, budget=budget)
 
 
@@ -685,11 +653,11 @@ def reference_exponent_vectors(support, n, size_cap, budget):
 
 
 def reference_fs_coefficient(Q, n, budget):
-    """The Flajolet-Soria sum for one index over the reference walk."""
+    """The Flajolet-Soria sum for one index over the reference walk, every
+    size up to 2n - 1."""
     support, coeffs = Q.support, Q.terms
-    cap = n if Q.no_pure_x_powers else 2 * n - 1
     total = F(0)
-    for chosen, size in reference_exponent_vectors(support, n, cap, budget):
+    for chosen, size in reference_exponent_vectors(support, n, 2 * n - 1, budget):
         term = F(multinomial([e for _, e in chosen]), size)
         for t, e in chosen:
             term *= coeffs[support[t]] ** e
@@ -721,6 +689,22 @@ def test_fs_window_walk_matches_reference_walk(Q, n, limit):
                                 expect, limit)
     _assert_reference_or_budget(lambda budget: fs_coefficient(Q, n, budget=budget),
                                 expect[-1], limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng_seed=st.integers(0, 2 ** 32), dx=st.integers(1, 4), dy=st.integers(1, 4),
+       count=st.integers(1, 30))
+def test_fs_expand_of_cut_hensel_form_matches_newton(rng_seed, dx, dy, count):
+    inst = henselian_instance(random.Random(rng_seed), dx, dy)
+    assume(inst is not None)
+    P, seed = inst
+    bd = branch_data(P, TruncatedSeries(seed))
+    assume(len(seed) >= bd.k0 + 2)
+    k = len(seed) - 1
+    form = henselize(P, TruncatedSeries(seed), k, branch=bd, last=count)
+    root = newton_lift(P, seed, k + 1 + count, branch=bd).series
+    assert list(fs_expand(form.eq, count).one_based()) == \
+        [root.coefficient(k + 1 + p) for p in range(1, count + 1)]
 
 
 def reference_slot_walk(exponents, item_slots, size, rise, fall, budget):
