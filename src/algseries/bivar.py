@@ -21,7 +21,7 @@ from .series import _clear, _frac, _int_mul
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
 
-def _utrim(a: list[Fraction]) -> list[Fraction]:
+def _utrim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
@@ -167,7 +167,7 @@ def eval_at_poly(P: BivarPoly, z: Sequence, precision: int | None = None) -> lis
     if precision < 0:
         raise InputError("precision must be a natural number")
     [(den, out)] = _evaluate(*_clear([Fraction(0)] + [_frac(c) for c in z]), [(P, precision)])
-    return _utrim([Fraction(c, den) for c in out])
+    return [Fraction(c, den) for c in _utrim(out)]
 
 
 def substitute_tail(P: BivarPoly, z: Sequence, e: int) -> BivarPoly:

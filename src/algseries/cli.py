@@ -232,39 +232,53 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command_name: str | None = None) -> argparse.ArgumentParser:
+    """A new parser for one call; nothing is cached between calls.
+
+    All six subcommands are registered by name, so the top-level help, the
+    usage lines and the invalid-choice message are always the whole tree's.
+    Options, ``--output`` and the handler, most of the cost of building
+    the parser, go only to the subcommand ``command_name`` (the first word
+    of argv), since ``parse_args`` reads no other subparser.  With no first
+    word, or one that is not a command, every subcommand is built in full.
+    """
     parser = _Parser(prog="algseries", description="exact toolkit for algebraic power series")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, handler, **options):
+    path, number = {"required": True}, {"type": int, "required": True}
+    commands = {
+        # only expand enumerates, so only expand takes a budget
+        "expand": ("tail coefficients of a simple root", _cmd_expand, {
+            "poly": path, "seed": path, "count": number,
+            "method": {"choices": ["fs", "closed", "newton", "all"], "default": "all"},
+            "budget": {"type": int, "default": DEFAULT_NODE_BUDGET,
+                       "help": "enumeration budget in units, one unit per closed-form walk "
+                               f"node or fs term product (default {DEFAULT_NODE_BUDGET})"}}),
+        "implicitize": ("reconstruct a vanishing polynomial", _cmd_implicitize, {
+            "series": path, "dx": number, "dy": number, "shape": {"default": None}}),
+        "henselize": ("reduced Henselian equation of the tail", _cmd_henselize, {
+            "poly": path, "seed": path, "k": number}),
+        "certify": ("finite-depth vanishing certificate", _cmd_certify, {
+            "poly": path, "series": path, "dx": number, "dy": number}),
+        "oracle": ("Newton lifting of a seeded root", _cmd_oracle, {
+            "poly": path, "seed": path, "count": number}),
+        "selftest": ("run the built-in fixtures", _cmd_selftest, {}),
+    }
+    for name, (help, handler, options) in commands.items():
         p = sub.add_parser(name, help=help)
+        if command_name in commands and name != command_name:
+            continue
         for option, kind in options.items():
             p.add_argument(f"--{option}", **kind)
         p.add_argument("--output", "-o", help="write the JSON result to this path")
         p.set_defaults(handler=handler)
-
-    path, number = {"required": True}, {"type": int, "required": True}
-    # only expand enumerates, so only expand takes a node budget
-    command("expand", "tail coefficients of a simple root", _cmd_expand, poly=path, seed=path,
-            count=number, method={"choices": ["fs", "closed", "newton", "all"], "default": "all"},
-            budget={"type": int, "default": DEFAULT_NODE_BUDGET,
-                    "help": f"enumeration node budget (default {DEFAULT_NODE_BUDGET})"})
-    command("implicitize", "reconstruct a vanishing polynomial", _cmd_implicitize,
-            series=path, dx=number, dy=number, shape={"default": None})
-    command("henselize", "reduced Henselian equation of the tail", _cmd_henselize,
-            poly=path, seed=path, k=number)
-    command("certify", "finite-depth vanishing certificate", _cmd_certify,
-            poly=path, series=path, dx=number, dy=number)
-    command("oracle", "Newton lifting of a seeded root", _cmd_oracle,
-            poly=path, seed=path, count=number)
-    command("selftest", "run the built-in fixtures", _cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         payload, code = args.handler(args)
     except (InputError, PrecisionError) as exc:
         payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_INPUT

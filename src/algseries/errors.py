@@ -27,4 +27,4 @@ class NotAlgebraicError(AlgSeriesError):
 
 
 class BudgetError(AlgSeriesError):
-    """An enumeration exceeded its configured node budget."""
+    """An enumeration exceeded its budget of work units."""

@@ -110,7 +110,7 @@ class EnumerationBudget:
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetError(f"enumeration exceeded {self.limit} nodes")
+            raise BudgetError(f"enumeration exceeded {self.limit} units")
 
 
 def weighted_compositions(length: int, total: int, weight: int) -> Iterator[tuple[int, ...]]:

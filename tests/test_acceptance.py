@@ -205,7 +205,7 @@ def test_long_seed_expansion_exits_cleanly(tmp_path, capsys):
 
 def test_e4_from_a_51_term_seed_under_the_default_budget(tmp_path, capsys):
     # the north star's k ~ 50: the closed form's one walk per request fits
-    # the default node budget, and all three routes give Newton's values
+    # the default budget, and all three routes give Newton's values
     lift = newton_lift(E4_POLY, [1], 54).series
     poly = tmp_path / "poly.json"
     poly.write_text(dumps(poly_to_obj(E4_POLY)))

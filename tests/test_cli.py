@@ -275,6 +275,106 @@ def test_help_still_exits_zero(capsys):
     assert "--minor-budget" not in capsys.readouterr().out
 
 
+# a valid option list for each subcommand
+COMMAND_OPTIONS = {
+    "expand": ["--poly", "{poly}", "--seed", "{seed}", "--count", "3"],
+    "implicitize": ["--series", "{root}", "--dx", "2", "--dy", "2"],
+    "henselize": ["--poly", "{poly}", "--seed", "{root}", "--k", "1"],
+    "certify": ["--poly", "{poly}", "--series", "{root}", "--dx", "2", "--dy", "2"],
+    "oracle": ["--poly", "{poly}", "--seed", "{seed}", "--count", "5"],
+    "selftest": [],
+}
+
+# argv shapes built from (command, its valid options, an output path)
+ARGV_SHAPES = {
+    "valid": lambda c, v, out: [c, *v],
+    "missing-required": lambda c, v, out: [c],
+    "unknown-option": lambda c, v, out: [c, *v, "--bogus", "1"],
+    "abbreviated": lambda c, v, out: [c, *(a[:5] if a.startswith("--") else a for a in v)],
+    "short-output": lambda c, v, out: [c, *v, "-o", out],
+    "trailing-extra": lambda c, v, out: [c, *v, "extra"],
+    "help": lambda c, v, out: [c, "--help"],
+    "output-before-command": lambda c, v, out: ["--output", out, c, *v],
+    "bad-command": lambda c, v, out: [c + "x", *v],
+}
+
+
+def _outcome(capsys, argv, out):
+    """Exit code (or SystemExit code), stdout, stderr and the --output file."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    stdout, stderr = capsys.readouterr()
+    written = out.read_text() if out.exists() else None
+    if written is not None:
+        out.unlink()
+    return code, stdout, stderr, written
+
+
+def _assert_matches_full_parser(capsys, monkeypatch, argv, out):
+    # main builds only the named subcommand's options; every outcome must be
+    # the one the parser with every subcommand built gives
+    named = _outcome(capsys, argv, out)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command_name=None: full_parser())
+    assert _outcome(capsys, argv, out) == named
+    return named
+
+
+@pytest.mark.parametrize("shape", ARGV_SHAPES)
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_named_parser_matches_the_full_parser(files, capsys, monkeypatch, command, shape):
+    out = files["dir"] / "out.json"
+    options = [a.format(**files) for a in COMMAND_OPTIONS[command]]
+    argv = ARGV_SHAPES[shape](command, options, str(out))
+    code = _assert_matches_full_parser(capsys, monkeypatch, argv, out)[0]
+    if shape == "valid":
+        assert code == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["--bogus"]])
+def test_top_level_argv_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    _assert_matches_full_parser(capsys, monkeypatch, argv, tmp_path / "out.json")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text == cli.build_parser().format_help()
+    for name, help in [("expand", "tail coefficients of a simple root"),
+                       ("implicitize", "reconstruct a vanishing polynomial"),
+                       ("henselize", "reduced Henselian equation of the tail"),
+                       ("certify", "finite-depth vanishing certificate"),
+                       ("oracle", "Newton lifting of a seeded root"),
+                       ("selftest", "run the built-in fixtures")]:
+        assert any(line.split() == [name, *help.split()] for line in text.splitlines())
+
+
+def test_only_the_named_subcommand_gets_options():
+    def options(parser):
+        [sub] = parser._subparsers._group_actions
+        return {name: sorted(o for a in p._actions for o in a.option_strings)
+                for name, p in sub.choices.items()}
+
+    full = options(cli.build_parser())
+    assert set(full) == set(COMMAND_OPTIONS)
+    for command in COMMAND_OPTIONS:
+        named = options(cli.build_parser(command))
+        assert named[command] == full[command]
+        assert all(named[c] == ["--help", "-h"] for c in named if c != command)
+    for other in [None, "bogus", "--help"]:
+        assert options(cli.build_parser(other)) == full
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["algseries", "selftest"])
+    code, obj = run(capsys, None)
+    assert code == 0 and obj["selftest"] == "ok"
+
+
 def test_inconsistent_seed_exits_one(files, capsys):
     bad = files["dir"] / "badseed.json"
     bad.write_text(dumps({"coefficients": ["1", "1", "5"], "precision": 3}))
@@ -350,7 +450,7 @@ def test_budget_at_and_one_below_the_node_count(files, capsys):
         '"method": "closed", "omega0": "2", "seed": ["1", "1"]}\n')
     assert main(argv + ["1456"]) == 3
     assert capsys.readouterr().out == \
-        '{"detail": "enumeration exceeded 1456 nodes", "error": "BudgetError"}\n'
+        '{"detail": "enumeration exceeded 1456 units", "error": "BudgetError"}\n'
 
 
 def test_budget_exit_three_with_long_seed(files, capsys):
@@ -368,7 +468,7 @@ def test_budget_exit_three_with_long_seed(files, capsys):
     assert code == 0 and obj["coefficients"] == ["1", "1", "1"]
     code, obj = run(capsys, argv + ["2258"])
     assert code == 3
-    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 2258 nodes"}
+    assert obj == {"error": "BudgetError", "detail": "enumeration exceeded 2258 units"}
 
 
 @pytest.mark.parametrize("d", [200, 1000])
@@ -435,7 +535,7 @@ def test_fs_budget_bounds_a_long_request(d33_argv, capsys):
     assert code == 3
     assert out.count("\n") == 1
     assert json.loads(out) == {"error": "BudgetError",
-                               "detail": "enumeration exceeded 100000 nodes"}
+                               "detail": "enumeration exceeded 100000 units"}
 
 
 def test_budget_exit_three_after_a_reimport(files, capsys):

@@ -330,7 +330,7 @@ def test_fs_budget_enforced():
     assert fs_coefficient(CATALAN_EQ, 6, budget=budget) == 42
     assert budget.used == 84
     budget = EnumerationBudget(limit=83)
-    with pytest.raises(BudgetError, match="exceeded 83 nodes"):
+    with pytest.raises(BudgetError, match="exceeded 83 units"):
         fs_coefficient(CATALAN_EQ, 6, budget=budget)
 
 
@@ -357,7 +357,7 @@ def test_closed_form_budget_is_exact_on_e4():
     budget = EnumerationBudget(limit=1101)
     with pytest.raises(BudgetError) as caught:
         closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
-    assert str(caught.value) == "enumeration exceeded 1101 nodes"
+    assert str(caught.value) == "enumeration exceeded 1101 units"
     assert budget.used == 1102
 
 
@@ -554,7 +554,7 @@ def _assert_reference_or_budget(walk, expect, limit):
     try:
         value = walk(budget)
     except BudgetError as exc:
-        assert str(exc) == f"enumeration exceeded {limit} nodes"
+        assert str(exc) == f"enumeration exceeded {limit} units"
         assert budget.used > limit
     else:
         assert value == expect
