@@ -118,9 +118,9 @@ class BivarPoly:
 
 def _powers(Y: list[int], top: int, n: int) -> list[list[int]]:
     """[Y^0, .., Y^top] for the integer coefficient list Y, each cut after
-    x^n.  Even powers are squares, the cheaper product."""
-    powers = [[1]]
-    for j in range(1, top + 1):
+    x^n.  Y^1 is Y itself, and even powers are squares, the cheaper product."""
+    powers = [[1], Y[: n + 1]][: top + 1]
+    for j in range(2, top + 1):
         half = powers[j // 2]
         powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], Y, n))
     return powers

@@ -71,8 +71,7 @@ The Flajolet-Soria loop charges len(Q^m) times the number of terms it
 multiplies by (those with l + m <= last) before each product: the most
 term products that step can make, so its time and memory stay under the
 budget too.  ``weighted_compositions`` (the seed spreads of a given size
-and weight) and ``multinomial`` are the one enumerator and the one
-multinomial that the Hensel-form tables in ``henselization`` use as well.
+and weight) and ``multinomial`` serve the closed form alone.
 
 The closed form has an exact integer kernel of its own, apart from the
 series kernel, so neither expansion route borrows the other's arithmetic.

@@ -4,24 +4,25 @@ For a polynomial P and a candidate root prefix c_1, c_2, ..., the order
 i_k of P(x, z_k + x^(k+1) y) is strictly increasing exactly while the
 prefix is consistent with a root, and for a simple root there is a least
 index k0 past which it increases by exactly one.  From any k > k0 the
-substitution y -> z_{k+1} + x^(k+1) (y + c_{k+1}) turns P into
+substitution y -> z_k + x^(k+1) (y + c_{k+1}) turns P into
 -omega0 x^{i_k} (y - Q_k(x, y)) for a polynomial Q_k defining a reduced
 Henselian equation satisfied by the root's tail; its coefficient table is
-computed here by an explicit multinomial formula, never by expanding the
-substitution, so the two can be checked against each other.
+read here off powers of the seed polynomial, built by a plain convolution,
+never by expanding the substitution, so the two can be checked against
+each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator
 
 from .bivar import BivarPoly, eval_at_poly, substitute_shift, uni_order
 from .bivar import substitute_tail  # unused; bound because bench/tracing.py wraps it
 from .errors import InputError, NotSimpleRootError, PrecisionError
-from .flajolet_soria import ReducedHenselEq, multinomial, weighted_compositions
+from .flajolet_soria import ReducedHenselEq
 from .series import TruncatedSeries, _frac
 
 
@@ -136,39 +137,37 @@ def leaves_branch(P: BivarPoly, z, bd: BranchData) -> int | None:
     return None if order is None else order - e
 
 
-def _power_coefficient(seed, n: int, w: int):
-    """Coefficient of x^w in (c_1 x + ... + c_s x^s)^n for seed = c_1..c_s,
-    as the multinomial sum over the spreads of n with weight w (the integer
-    0 when there is none).
-
-    This expands no substitution, so the tables built from it stay an
-    independent check of ``substitute_tail``.
-    """
-    total = 0
-    for L in weighted_compositions(len(seed), n, w):
-        term = multinomial(L)
-        for c, t in zip(seed, L):
-            if t:
-                term *= c ** t
-        total += term
-    return total
+def _seed_powers(seed, top: int, cut: int) -> tuple[int, list[list[int]]]:
+    """(D, [N^0, .., N^top]) with z = c_1 x + ... + c_s x^s = N / D, each
+    power dense through x^cut: [x^w] z^n = N^n[w] / D^n for 0 <= w <= cut.
+    A plain convolution on integers, sharing no kernel with evaluation and
+    Newton lifting."""
+    D = lcm(*(c.denominator for c in seed))
+    N = [c.numerator * (D // c.denominator) for c in seed]
+    powers = [[1] + [0] * cut]
+    for _ in range(top):
+        out = [0] * (cut + 1)
+        for u, p in enumerate(powers[-1][:cut]):
+            if p:
+                for v, c in enumerate(N[: cut - u], u + 1):
+                    out[v] += p * c
+        powers.append(out)
+    return D, powers
 
 
 def coefficient_after_branch(P: BivarPoly, c: TruncatedSeries, k0: int, i_k0: int,
                              omega0) -> Fraction:
-    """The uniquely determined coefficient c_{k0+2}, by the closed
-    multinomial sum over seed monomials of total degree j in c_1..c_{k0+1},
-    scaled by -1/omega0."""
+    """The uniquely determined coefficient c_{k0+2}: -1/omega0 times the
+    sum of a_ij [x^(i_k0+1-i)] z^j, z = c_1 x + ... + c_{k0+1} x^(k0+1)."""
     if c.precision < k0 + 1:
         raise PrecisionError(f"need {k0 + 1} seed coefficients")
     w0 = _frac(omega0)
     if not w0:
         raise InputError("omega0 must be nonzero")
     seed = [c.coefficient(n) for n in range(1, k0 + 2)]
-    total = Fraction(0)
-    for (i, j), a in sorted(P.terms.items()):
-        total += a * _power_coefficient(seed, j, i_k0 + 1 - i)
-    return -total / w0
+    D, powers = _seed_powers(seed, P.y_degree, i_k0 + 1)
+    return -sum(a * Fraction(powers[j][i_k0 + 1 - i], D ** j)
+                for (i, j), a in P.terms.items() if i <= i_k0 + 1) / w0
 
 
 def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
@@ -178,7 +177,8 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
     Requires k + 1 seed coefficients, and k strictly past the
     branch-separation index of z_{k+1} = c_1..c_{k+1}, which is all of the
     seed that is read.  The table b_{l,m} of Q_k(x, y) = sum b_{l,m} x^l y^m
-    is produced from the multinomial formula, with l running to
+    is -1/omega0 times sum a_ij C(j, m) [x^(l + i_k - m(k+1) - i)] z^(j-m),
+    read off z^0..z^dy for z = z_{k+1}, with l running to
     (k+1)*dy + dx - i_k and m capped by min((l + i_k) / (k+1), dy).  Its
     m = 0 terms are those of -P(x, z_{k+1}) / (omega0 x^i_k), so an exact
     root z_{k+1} gets a table with none and the tail 0, like any other
@@ -212,20 +212,19 @@ def henselize(P: BivarPoly, c: TruncatedSeries, k: int, *,
     i_k = bd.i_k0 + (k - bd.k0)
 
     dx, dy = P.x_degree, P.y_degree
-    support = sorted(P.terms.items())
-    terms: dict[tuple[int, int], Fraction] = {}
     lmax = (k + 1) * dy + dx - i_k
     if last is not None:
         lmax = min(lmax, last)
+    # each b_{l,m} is summed on integers over A D^(dy-m), A clearing P
+    D, powers = _seed_powers(z, dy, lmax + i_k)
+    A = lcm(*(a.denominator for a in P.terms.values()))
+    reads = [[(i + m * (k + 1) - i_k, powers[j - m],
+               a.numerator * (A // a.denominator) * comb(j, m) * D ** (dy - j))
+              for (i, j), a in P.terms.items() if j >= m] for m in range(dy + 1)]
+    terms: dict[tuple[int, int], Fraction] = {}
     for l in range(1, lmax + 1):
-        m_top = min((l + i_k) // (k + 1), dy)
-        for m in range(0, m_top + 1):
-            acc = 0
-            for (i, j), a in support:
-                if j >= m:
-                    power = _power_coefficient(z, j - m, l + i_k - m * (k + 1) - i)
-                    if power:
-                        acc += a * comb(j, m) * power
+        for m, row in enumerate(reads):
+            acc = sum(scale * power[l - shift] for shift, power, scale in row if shift <= l)
             if acc:
-                terms[(l, m)] = -acc / bd.omega0
+                terms[(l, m)] = Fraction(-acc, A * D ** (dy - m)) / bd.omega0
     return HenselForm(k=k, k0=bd.k0, i_k=i_k, omega0=bd.omega0, eq=ReducedHenselEq(terms))

@@ -280,10 +280,10 @@ def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
 
 
 def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:
-    """True iff P(x, z_tau) vanishes modulo x^(tau+1) for tau = 2*dx*dy.
-
-    Under the hypothesis that the series is algebraic with the same degree
-    bounds, this certifies P(x, y0) = 0 exactly.
+    """True iff P(x, z_T) vanishes modulo x^(T+1), T >= tau = 2*dx*dy the
+    precision of c.  A nonzero coefficient there disproves P(x, y0) = 0
+    outright.  Vanishing through tau certifies P(x, y0) = 0 exactly under
+    the hypothesis that the series is algebraic with the same degree bounds.
     """
     if dx < 1 or dy < 1:
         raise InputError("degree bounds must be at least 1")
@@ -294,16 +294,15 @@ def certify(P: BivarPoly, c: TruncatedSeries, dx: int, dy: int) -> bool:
     tau = 2 * dx * dy
     if c.precision < tau:
         raise PrecisionError(f"certification depth {tau} exceeds precision {c.precision}")
-    z = [c.coefficient(n) for n in range(1, tau + 1)]
-    return not eval_at_poly(P, z, tau)
+    return not eval_at_poly(P, c.coefficients()[1:], c.precision)
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
     poly: BivarPoly
     rank: int
-    # positive reconstructions are certified at depth 2*dx*dy, which proves
-    # vanishing only under the degree-bound algebraicity hypothesis
+    # positive reconstructions vanish on the whole stored series; that proves
+    # P(x, y0) = 0 only under the degree-bound algebraicity hypothesis
     conditional: bool = True
 
 
@@ -333,10 +332,11 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
     column rank mod p implies full rank over Q, and below it a kernel vector
     per non-pivot column, verified over Q, bounds the rank over Q by the
     rank mod p (``_slab_kernel``).  The pure-x terms are then forced, and
-    the polynomial is certified at depth 2*dx*dy through direct evaluation,
-    independently of the slab.  A slab-kernel vector zeroes every slab row
-    and the forced terms zero the rows G removed, so the certificate cannot
-    fail; should it, NotAlgebraicError is raised.
+    the polynomial is certified by ``certify``, independently of the slab.
+    A slab-kernel vector zeroes every slab row and the forced terms zero
+    the rows G removed, so it vanishes through depth 2*dx*dy; a nonzero
+    coefficient past that disproves the degree-bound hypothesis, and
+    NotAlgebraicError is raised.
     """
     if dx < 1 or dy < 1:
         raise InputError("degree bounds must be at least 1")
@@ -354,7 +354,7 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
     poly = BivarPoly(_constant_terms(slab, a_F))
     if not certify(poly, c, dx, dy):
         raise NotAlgebraicError(
-            f"the slab relation fails certification at depth {2 * dx * dy}: "
+            f"the slab relation fails certification through x^{c.precision}: "
             f"the series violates the degree-bound hypothesis at ({dx}, {dy})"
         )
     return ReconstructionResult(poly.primitive_normalized(), rank)

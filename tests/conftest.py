@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data,
-                       coefficient_after_branch, eval_at_poly)
+                       coefficient_after_branch, eval_at_poly, weighted_compositions)
+from algseries.flajolet_soria import multinomial
 
 # P = y^2 + x^2 y^2 - 2 x^2 y - x^2, simple root starting 1, 1, 0, -1, -1/2, ...
 E4_POLY = BivarPoly({(0, 2): 1, (2, 0): -1, (2, 1): -2, (2, 2): 1})
@@ -174,6 +175,21 @@ def extended_seed(P, coeffs):
     if len(coeffs) == bd.k0 + 1:
         coeffs.append(coefficient_after_branch(P, series, bd.k0, bd.i_k0, bd.omega0))
     return bd, coeffs
+
+
+def power_coefficient(seed, n, w):
+    """Coefficient of x^w in (c_1 x + ... + c_s x^s)^n for seed = c_1..c_s,
+    as the multinomial sum over the spreads of n with weight w (the integer
+    0 when there is none): the literal reference for the seed powers that
+    the Hensel-form tables read."""
+    total = 0
+    for L in weighted_compositions(len(seed), n, w):
+        term = multinomial(L)
+        for c, t in zip(seed, L):
+            if t:
+                term *= c ** t
+        total += term
+    return total
 
 
 def fixed_point_expand(Q, precision):

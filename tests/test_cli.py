@@ -1,15 +1,18 @@
 import importlib
 import json
+import random
 import sys
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from algseries import BivarPoly, cli, henselization, newton, newton_lift
+from algseries import (BivarPoly, TruncatedSeries, cli, henselization, newton, newton_lift,
+                       substitute_tail)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
-from conftest import E4_POLY
+from conftest import E4_POLY, liftable_instances, nonzero_rational
 
 E4_OBJ = poly_to_obj(E4_POLY)
 
@@ -527,6 +530,86 @@ def test_fs_answers_a_dense_root_at_count_40(d33_argv, capsys):
     assert code == 0
     code, expect = run(capsys, d33_argv + ["--count", "40", "--method", "newton"])
     assert code == 0 and obj["coefficients"] == expect["coefficients"]
+
+
+# a dense (5,5) polynomial: every a_ij but a00 nonzero, a01 = 1 and a10 = -1,
+# so its simple root through the origin starts at c_1 = 1
+_D55_RNG = random.Random(55)
+D55 = BivarPoly({(i, j): 1 if (i, j) == (0, 1) else -1 if (i, j) == (1, 0)
+                 else _D55_RNG.choice([-3, -2, -1, 1, 2, 3])
+                 for i in range(6) for j in range(6) if (i, j) != (0, 0)})
+
+
+@pytest.fixture
+def d55_files(files):
+    poly = files["dir"] / "d55.json"
+    poly.write_text(dumps(poly_to_obj(D55)))
+    seed = files["dir"] / "d55_seed.json"
+    seed.write_text(dumps(series_to_obj(newton_lift(D55, [1], 51).series)))
+    return ["--poly", str(poly), "--seed", str(seed)]
+
+
+def test_henselize_k50_on_a_dense_5x5_root(d55_files, capsys):
+    # the table reads powers of the 51-term seed, built once, so k = 50 at
+    # (5,5) is quick; it must match the literal shifted polynomial
+    start = time.perf_counter()
+    code, obj = run(capsys, ["henselize"] + d55_files + ["--k", "50"])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and obj["k0"] == 0
+    z = list(newton_lift(D55, [1], 51).series.one_based())
+    i_k, omega0 = obj["i_k"], Fraction(obj["omega0"])
+    recon = {(i_k, 1): omega0}
+    for entry in obj["b"]:
+        key = (entry["l"] + i_k, entry["m"])
+        recon[key] = recon.get(key, Fraction(0)) - omega0 * Fraction(entry["c"])
+    assert BivarPoly(recon) == substitute_tail(D55, z, 51)
+
+
+def test_three_routes_agree_on_a_dense_5x5_root_from_a_51_term_seed(d55_files, capsys):
+    code, obj = run(capsys, ["expand"] + d55_files + ["--count", "3", "--method", "all"])
+    assert code == 0 and obj["agree"] is True and obj["k"] == 50
+
+
+def test_a_changed_coefficient_past_tau_disproves_e4(files, capsys):
+    # e4 lifted to T = 16 with c_14 + 1: P(x, z) vanishes through tau = 8
+    # but has order 15 <= T, so the stored data contradicts algebraicity at
+    # (2, 2), and both commands say so
+    coeffs = list(newton_lift(E4_POLY, [1, 1], 16).series.one_based())
+    coeffs[13] += 1
+    bumped = files["dir"] / "bumped.json"
+    bumped.write_text(dumps(series_to_obj(TruncatedSeries(coeffs))))
+    bounds = ["--dx", "2", "--dy", "2"]
+    code, obj = run(capsys, ["implicitize", "--series", str(bumped)] + bounds)
+    assert code == 1 and obj["result"] == "not-algebraic-at-bounds"
+    code, obj = run(capsys, ["certify", "--poly", files["poly"], "--series", str(bumped)] + bounds)
+    assert code == 1 and obj == {"certified": False, "tau": 8}
+
+
+def test_a_changed_coefficient_past_the_slab_exits_one(files, capsys):
+    # a root lifted past the slab's reach tau + dx: changing one coefficient
+    # beyond it leaves the slab as it was, but P(x, z) then has order n + e
+    # <= T, e the order of dP/dy along the root, and that disproves it
+    rng = random.Random(42)
+    for P, seed, bd in liftable_instances(rng, 8):
+        dx, dy = P.x_degree, P.y_degree
+        e = bd.i_k0 - bd.k0 - 1
+        reach = 2 * dx * dy + dx
+        T = reach + 3 + e
+        root = list(newton_lift(P, seed, T).series.one_based())
+        n = rng.randint(reach + 1, T - e)
+        bumped = list(root)
+        bumped[n - 1] += nonzero_rational(rng)
+        poly = files["dir"] / "p.json"
+        poly.write_text(dumps(poly_to_obj(P)))
+        bounds = ["--dx", str(dx), "--dy", str(dy)]
+        for coeffs, expect in ((root, 0), (bumped, 1)):
+            series = files["dir"] / "z.json"
+            series.write_text(dumps(series_to_obj(TruncatedSeries(coeffs))))
+            code, obj = run(capsys, ["implicitize", "--series", str(series)] + bounds)
+            assert code == expect, (P, n, obj)
+            code, obj = run(capsys, ["certify", "--poly", str(poly), "--series", str(series)]
+                            + bounds)
+            assert code == expect and obj["certified"] is (expect == 0)
 
 
 def test_fs_budget_bounds_a_long_request(d33_argv, capsys):

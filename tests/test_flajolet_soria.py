@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        ReducedHenselEq, TruncatedSeries, bivar, branch_data,
-                       closed_form_coefficient, closed_form_coefficients, e_coefficient,
+                       closed_form_coefficient, closed_form_coefficients,
+                       coefficient_after_branch, e_coefficient,
                        eval_at_poly, fs_coefficient, fs_expand, henselize, newton_lift,
                        series, weighted_compositions)
 from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
-from algseries.henselization import _power_coefficient
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, henselian_instance,
                       late_branch_instances, liftable_instances, nonzero_rational, rational)
 
@@ -792,26 +792,27 @@ def test_slot_walk_matches_reference_walk(walk, limit):
 
 
 def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
-    # the closed form, Flajolet-Soria and the power tables must not borrow
-    # the series kernel that Newton lifting runs on
+    # the closed form, Flajolet-Soria and the Hensel tables with their seed
+    # powers must not borrow the series kernel that Newton lifting runs on
     rng = random.Random(40)
     cases = []
     for P, seed, bd in liftable_instances(rng, 4) + late_branch_instances(rng, 2):
         k = bd.k0 + 1
         coeffs = list(newton_lift(P, seed, k + 4).series.one_based())[: k + 1]
-        form = henselize(P, TruncatedSeries(coeffs), k)
         i_k = bd.i_k0 + (k - bd.k0)
-        cases.append((P, coeffs, k, i_k, bd.omega0, form.eq))
+        cases.append((P, coeffs, k, i_k, bd))
 
     def values():
         out = []
-        for P, coeffs, k, i_k, omega0, eq in cases:
-            out.append(closed_form_coefficients(P, coeffs, k, i_k, omega0, 3))
+        for P, coeffs, k, i_k, bd in cases:
+            prefix = TruncatedSeries(coeffs)
+            eq = henselize(P, prefix, k, branch=bd).eq
+            out.append(eq.terms)
+            out.append(coefficient_after_branch(P, prefix, bd.k0, bd.i_k0, bd.omega0))
+            out.append(closed_form_coefficients(P, coeffs, k, i_k, bd.omega0, 3))
             for p in (1, 2, 3):
-                out.append(closed_form_coefficient(P, coeffs, k, i_k, omega0, p))
-                if eq is not None:
-                    out.append(fs_coefficient(eq, p))
-                out.append(_power_coefficient(coeffs, p, p + 1))
+                out.append(closed_form_coefficient(P, coeffs, k, i_k, bd.omega0, p))
+                out.append(fs_coefficient(eq, p))
         return out
 
     expect = values()

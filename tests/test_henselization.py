@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from algseries import (BivarPoly, InputError, NotSimpleRootError, PrecisionError
                        eval_at_poly, fs_expand, henselize, newton_lift, order_sequence,
                        series_pow, substitute_tail, uni_order)
 from algseries import henselization
-from algseries.henselization import _power_coefficient, _scan, leaves_branch
+from algseries.henselization import _scan, leaves_branch
 from conftest import (E4_POLY, TANGENT, henselian_instance, late_branch_instances,
-                      liftable_instances, nonzero_rational)
+                      liftable_instances, nonzero_rational, power_coefficient)
 
 LINEAR = BivarPoly({(0, 1): 1, (1, 0): -1})   # y - x
 
@@ -26,7 +27,7 @@ def omega0_closed(P, c, k0, i_k0):
     total = F(0)
     for (i, j), a in sorted(P.terms.items()):
         if j >= 1:
-            total += a * j * _power_coefficient(seed, j - 1, i_k0 - k0 - 1 - i)
+            total += a * j * power_coefficient(seed, j - 1, i_k0 - k0 - 1 - i)
     return total
 
 
@@ -86,7 +87,7 @@ def test_power_coefficient_matches_series_power(seed, n, w):
     # the x^w coefficient of (c_1 x + ... + c_s x^s)^n by repeated products
     top = max(w, len(seed))
     poly = TruncatedSeries(list(seed) + [0] * (top - len(seed)))
-    assert _power_coefficient(seed, n, w) == series_pow(poly, n, top).coefficient(w)
+    assert power_coefficient(seed, n, w) == series_pow(poly, n, top).coefficient(w)
 
 
 def test_omega0_closed_e4_fixture():
@@ -127,6 +128,59 @@ def test_coefficient_after_branch_matches_oracle():
         assert c_next == seed[bd.k0 + 1]
     # and on the e4 fixture
     assert coefficient_after_branch(E4_POLY, TruncatedSeries([1]), 0, 2, 2) == 1
+
+
+def reference_table(P, z, k, i_k, omega0, lmax):
+    """The Hensel table b_{l,m}, l = 1..lmax, entry by entry from the
+    partition sum: -(1/omega0) sum a_ij C(j, m) [x^w] z^(j-m) with
+    w = l + i_k - m (k+1) - i."""
+    terms = {}
+    for l in range(1, lmax + 1):
+        for m in range(min((l + i_k) // (k + 1), P.y_degree) + 1):
+            acc = sum(a * comb(j, m) * power_coefficient(z, j - m, l + i_k - m * (k + 1) - i)
+                      for (i, j), a in P.terms.items() if j >= m)
+            if acc:
+                terms[(l, m)] = -acc / omega0
+    return terms
+
+
+def differential_instances(rng):
+    """Roots at bounds up to (4, 4), late-branching ones included, each with
+    its branch data and 10 coefficients."""
+    out = []
+    for dims in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4), (4, 4)] * 2:
+        inst = None
+        while inst is None:
+            inst = henselian_instance(rng, *dims)
+        out.append(inst)
+    out += [(P, seed) for P, seed, _ in late_branch_instances(rng, 6)]
+    return [(P, list(newton_lift(P, seed, 10).series.one_based()),
+             branch_data(P, TruncatedSeries(seed))) for P, seed in out]
+
+
+def test_henselize_tables_match_the_partition_sum():
+    # every table, capped or not, equals the one built entry by entry from
+    # the multinomial sum over the seed spreads
+    rng = random.Random(29)
+    for P, root, bd in differential_instances(rng):
+        for k in sorted({bd.k0 + 1, bd.k0 + 2, 5, 9}):   # k0 <= 3 here
+            z = root[: k + 1]
+            i_k = bd.i_k0 + (k - bd.k0)
+            lmax = (k + 1) * P.y_degree + P.x_degree - i_k
+            for last in (None, 1, 4):
+                cut = lmax if last is None else min(lmax, last)
+                form = henselize(P, TruncatedSeries(z), k, last=last)
+                assert form.eq.terms == reference_table(P, z, k, i_k, bd.omega0, cut)
+
+
+def test_coefficient_after_branch_matches_the_partition_sum():
+    rng = random.Random(30)
+    for P, root, bd in differential_instances(rng):
+        seed = root[: bd.k0 + 1]
+        expect = -sum(a * power_coefficient(seed, j, bd.i_k0 + 1 - i)
+                      for (i, j), a in P.terms.items()) / bd.omega0
+        got = coefficient_after_branch(P, TruncatedSeries(seed), bd.k0, bd.i_k0, bd.omega0)
+        assert got == expect == root[bd.k0 + 1]
 
 
 def test_henselize_e4_fixture_numeric():
