@@ -28,11 +28,12 @@ The closed form is summed in this order:
   base * c^L), and an assignment's total weight ||T|| names the p it
   serves, so one walk covers all of them.
 
-Every term is a term of the literal closed form, and every term of it is
-visited once; only the order of summation differs from the formula
-(``e_coefficient`` still gives each e(S, T) on its own).  That is why this
-is still the closed form and not the Hensel form: no slot family is summed
-as a power of a generating polynomial.  Doing so would be the seed
+Every term is a term of the literal closed form, and every nonzero term
+of it is visited once: a slot whose spread reaches a zero seed coefficient
+has the value 0 and is left out of the walk.  Only the order of summation
+differs from the formula (``e_coefficient`` still gives each e(S, T) on
+its own).  That is why this is still the closed form and not the Hensel
+form: no slot family is summed as a power of a generating polynomial.  Doing so would be the seed
 substitution that ``henselize`` performs, and would fold this route into
 the Flajolet-Soria one.  The walks take no coefficient from the Hensel
 form or the series kernel, so the two routes stay independent evidence of
@@ -438,8 +439,8 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
     D = lcm(*(v.denominator for v in seed))
     nums = [v.numerator * (D // v.denominator) for v in seed]
     A = lcm(*(a.denominator for _, a in support))
-    # per term of P: i, j, its numerator over A, and its slots as
-    # (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v)
+    # per term of P: i, j, its numerator over A, and its slots of nonzero
+    # value as (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v)
     usable: list[tuple[int, int, int, list[tuple[int, int, int, int]]]] = []
     for (i, j), a in support:
         slots = _slots(i, j, k, i_k, last)
@@ -452,7 +453,8 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
                     size += t
                     weight += (v + 1) * t
                     value *= nums[v] ** t
-            table.append((size, weight - size, (k + 1) * size - weight, value))
+            if value:
+                table.append((size, weight - size, (k + 1) * size - weight, value))
         usable.append((i, j, a.numerator * (A // a.denominator), table))
     terms = len(usable)
 

@@ -55,8 +55,6 @@ def _validate_inputs(P: BivarPoly, c: TruncatedSeries) -> None:
         raise InputError("polynomial must involve y")
     if c.coefficient(0):
         raise InputError("seed series must have zero constant term")
-    if c.precision < 1 or not c.coefficient(1):
-        raise InputError("seed series must have c_1 != 0")
 
 
 def _scan(P: BivarPoly, c: TruncatedSeries) -> Iterator[BivarPoly]:

@@ -57,11 +57,13 @@ def newton_lift(P: BivarPoly, seed: Sequence, precision: int, *,
     the lift neither scans nor checks the seed again.  The final
     certificate runs either way.
 
-    Raises ``InputError`` for an invalid P or seed (c_1 = 0) and for a
-    target below the seed length, ``PrecisionError`` when the seed ends
-    before the branch separates, ``NotSimpleRootError`` when the seed
-    leaves the branch or P has no simple root there, and ``LiftError``
-    when the lift itself fails its order checks or its final certificate.
+    The seed may start with zeros, for a root of any valuation.  Raises
+    ``InputError`` for an invalid P or seed (a coefficient that is not an
+    exact rational) and for a target below the seed length,
+    ``PrecisionError`` when the seed ends before the branch separates,
+    ``NotSimpleRootError`` when the seed leaves the branch or P has no
+    simple root there, and ``LiftError`` when the lift itself fails its
+    order checks or its final certificate.
     """
     cs = [_frac(v) for v in seed]
     s = len(cs)

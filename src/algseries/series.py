@@ -4,9 +4,11 @@ A series is known modulo x^(T+1): exactly the coefficients of x^0..x^T are
 stored, and nothing is claimed beyond that.  ``fractions.Fraction`` is the
 boundary type: every stored coefficient, argument and result is a Fraction
 in canonical reduced form, so every operation here is exact.  Inside the
-kernel (``_mul``, ``_inverse``) a coefficient list is integer numerators
-over one common denominator, and a product is one multiplication of two
-Kronecker-packed integers.  ``_inverse`` is the one Newton inverse:
+kernel (``_int_mul``, ``_inverse``) a coefficient list is integer
+numerators over one common denominator, and a product is one
+multiplication of two Kronecker-packed integers.  ``_int_mul`` is the one
+product: ``series_pow`` calls it here, and evaluation (``bivar._powers``)
+and the Newton lift call it too.  ``_inverse`` is the one Newton inverse:
 ``series_div`` starts it from 1 / v_e, and the Newton lift refines the one
 it carries from step to step.  The valuation is always computed from the
 stored data; a truncation whose stored coefficients all vanish is a
@@ -104,11 +106,6 @@ class TruncatedSeries:
             raise InputError("series has a constant term; no 1-based form")
         return self._c[1:]
 
-    def truncate(self, precision: int) -> "TruncatedSeries":
-        if precision > self._precision:
-            raise PrecisionError("cannot extend a truncation")
-        return TruncatedSeries._from_dense(self._c[: precision + 1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -120,22 +117,6 @@ class TruncatedSeries:
     def __repr__(self):
         head = ", ".join(str(c) for c in self._c[: min(len(self._c), 8)])
         return f"TruncatedSeries([{head}{'...' if len(self._c) > 8 else ''}]; T={self._precision})"
-
-    # -- exact arithmetic; the result precision is the weaker of the operands
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self._precision, other._precision)
-        return TruncatedSeries._from_dense(
-            [self._c[n] + other._c[n] for n in range(t + 1)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        t = min(self._precision, other._precision)
-        return TruncatedSeries._from_dense(_mul(self._c, other._c, t))
 
 
 def _clear(a: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -188,25 +169,6 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
             for k in range(0, width * size, width)]
 
 
-def _mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    """Dense product of two coefficient lists, cut after x^n.
-
-    The result has min(len(a) + len(b) - 1, n + 1) entries.  Every series
-    product and every power inside an evaluation of P(x, y(x)) comes here.
-    Fractions are the boundary: each operand is cleared to integer
-    numerators over one denominator, the integers are multiplied by
-    ``_int_mul``, and each result coefficient is one Fraction over the
-    product of the two denominators.
-    """
-    size = min(len(a) + len(b) - 1, n + 1)
-    if not a or not b or size <= 0:
-        return []
-    da, ia = _clear(a[:size])
-    db, ib = (da, ia) if b is a else _clear(b[:size])
-    den = da * db
-    return [Fraction(c, den) for c in _int_mul(ia, ib, n)]
-
-
 def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     """j-th power of a series with zero constant term, modulo x^(precision+1).
 
@@ -224,17 +186,20 @@ def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     one = TruncatedSeries((1,), precision=precision, start=0)
     if j == 0:
         return one
-    base = y.truncate(precision)
-    acc = one
+    # y is cleared once to N / d, and N^j is taken by binary powering on
+    # integers, one Fraction per coefficient at the end
+    d, power = _clear(y.coefficients()[: precision + 1])
+    acc = None
     remaining = j
-    power = base
-    while remaining:
+    while True:
         if remaining & 1:
-            acc = acc * power
+            acc = power if acc is None else _int_mul(acc, power, precision)
         remaining >>= 1
-        if remaining:
-            power = power * power
-    return acc
+        if not remaining:
+            break
+        power = _int_mul(power, power, precision)
+    den = d ** j
+    return TruncatedSeries._from_dense([Fraction(v, den) for v in acc])
 
 
 def _inverse(dw: int, w: list[int], guess=None) -> tuple[int, list[int]]:

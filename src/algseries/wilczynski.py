@@ -219,18 +219,19 @@ class MinorIndex:
 def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> WilczynskiSlab:
     """First ``depth`` surviving rows of the reduced matrix of ``shape``.
 
-    Requires c_1 != 0 and precision at least depth + |G| so that the
-    skipped rows cannot eat into the requested depth.  The series, cut to
-    depth + |G|, is cleared once to N / D; the powers N^j are integer
-    products (``_powers``, as in evaluation), and N^j * D^(dy - j) / D^dy
-    is y0^j, dy the largest y-exponent of F.
+    Requires a nonzero stored coefficient, at any index, and precision at
+    least depth + |G| so that the skipped rows cannot eat into the
+    requested depth.  The series, cut to depth + |G|, is cleared once to
+    N / D; the powers N^j are integer products (``_powers``, as in
+    evaluation), and N^j * D^(dy - j) / D^dy is y0^j, dy the largest
+    y-exponent of F.
     """
     if depth < 0:
         raise InputError("depth must be a natural number")
     if c.coefficient(0):
         raise InputError("series must have zero constant term")
-    if c.valuation != 1:
-        raise InputError("series must have c_1 != 0")
+    if c.valuation is None:
+        raise InputError("series must have a nonzero stored coefficient")
     needed = depth + len(shape.G)
     if c.precision < needed:
         raise PrecisionError(

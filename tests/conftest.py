@@ -111,6 +111,28 @@ def liftable_instances(rng, count):
     return out
 
 
+def valuation_instances(rng, count, v):
+    """Random roots of valuation v: P = a (y - c x^v) plus terms x^i y^j of
+    weight i + v j > v (integer coefficients in [-5, 5], bounds (3,3),
+    (3,2) or (2,2) as far as dx >= v allows, (v, 2) otherwise), so the
+    simple root starts c x^v.  Returns (P, seed, bd) like
+    ``liftable_instances``, seed = [0] * (v - 1) + [c]."""
+    dims = [d for d in [(3, 3), (3, 2), (2, 2)] if d[0] >= v] or [(v, 2)]
+    out = []
+    while len(out) < count:
+        dx, dy = rng.choice(dims)
+        a, c = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-2, -1, 1, 2])
+        terms = {(0, 1): a, (v, 0): -a * c}
+        for i in range(dx + 1):
+            for j in range(dy + 1):
+                if i + v * j > v and rng.random() < 0.5:
+                    terms[(i, j)] = rng.randint(-5, 5)
+        P = BivarPoly({key: b for key, b in terms.items() if b})
+        seed = [F(0)] * (v - 1) + [F(c)]
+        out.append((P, seed, branch_data(P, TruncatedSeries(seed))))
+    return out
+
+
 def _times_root(terms, root):
     """terms * (y - root(x)) for root = r_1 x + r_2 x^2 + ..., on dicts
     (i, j) -> integer coefficient."""
@@ -164,6 +186,11 @@ def coefficient_lists(max_size):
                                max_size=6))
     return st.lists(piece, max_size=max_size).map(
         lambda pieces: [c for p in pieces for c in p][:max_size])
+
+
+def prefix(series, precision):
+    """The series cut after x^precision."""
+    return TruncatedSeries(series.coefficients()[: precision + 1], start=0)
 
 
 def extended_seed(P, coeffs):

@@ -74,13 +74,15 @@ SHAPE = st.one_of(st.fixed_dictionaries({"F": st.lists(SHAPE_PAIR, max_size=5),
 
 @st.composite
 def liftable(draw):
-    """A polynomial a (y - c_1 x) + higher terms with its root's c_1 as the
-    seed, then zero to three more seed coefficients, right or wrong."""
-    a, c1 = draw(NONZERO), draw(NONZERO)
-    higher = draw(st.dictionaries(PAIR.filter(lambda p: sum(p) >= 2), NONZERO, max_size=4))
-    poly = {(0, 1): a, (1, 0): str(-Fraction(a) * Fraction(c1)), **higher}
+    """A polynomial a (y - c x^v) + terms of weight i + v j > v, v in 1..3,
+    with its root's leading terms 0, .., 0, c as the seed, then zero to
+    three more seed coefficients, right or wrong."""
+    v, a, c = draw(st.integers(1, 3)), draw(NONZERO), draw(NONZERO)
+    higher = draw(st.dictionaries(PAIR.filter(lambda p: p[0] + v * p[1] > v), NONZERO,
+                                  max_size=4))
+    poly = {(0, 1): a, (v, 0): str(-Fraction(a) * Fraction(c)), **higher}
     more = draw(st.lists(CANONICAL, max_size=3))
-    return {"terms": _terms(poly)}, {"coefficients": [c1] + more}
+    return {"terms": _terms(poly)}, {"coefficients": ["0"] * (v - 1) + [c] + more}
 
 
 def _file_bytes(obj):

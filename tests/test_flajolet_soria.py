@@ -202,6 +202,22 @@ def test_closed_form_node_counts_on_e4():
     assert budget.used == 1457
 
 
+@pytest.mark.parametrize("P, seed, count, nodes", [
+    # y^2 - x^2 + x^2 y^2, root x - x^3/2 + ...: 1164 units with its zero slots
+    (BivarPoly({(0, 2): 1, (2, 0): -1, (2, 2): 1}), [1, 0], 8, 340),
+    # y = x^2 + y^2, root x^2 + x^4 + 2 x^6 + ...: every spread through c_1
+    # is zero-valued, 1034 units with them
+    (BivarPoly({(0, 1): 1, (2, 0): -1, (0, 2): -1}), [0, 1], 12, 288),
+])
+def test_closed_form_skips_slots_through_zero_seed_coefficients(P, seed, count, nodes):
+    bd = branch_data(P, TruncatedSeries(seed))
+    assert bd.k0 == 0
+    budget = EnumerationBudget()
+    got = closed_form_coefficients(P, seed, 1, bd.i_k0 + 1, bd.omega0, count, budget=budget)
+    assert budget.used == nodes
+    assert got == list(newton_lift(P, seed, count + 2).series.one_based()[2:])
+
+
 def test_reference_closed_form_node_counts_on_e4():
     # the literal walk, one T at a time, visits these nodes for one index
     for p, nodes in [(6, 4077), (8, 14512), (10, 43895)]:
@@ -820,7 +836,7 @@ def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the series kernel was called")
 
-    for module, name in [(series, "_mul"), (series, "_int_mul"), (series, "series_div"),
+    for module, name in [(series, "_int_mul"), (series, "series_div"),
                          (series, "series_pow"), (bivar, "_evaluate"), (bivar, "_int_mul")]:
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError, match="series kernel"):

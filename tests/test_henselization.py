@@ -301,8 +301,11 @@ def test_henselize_rejects_wrong_continuation():
 def test_order_sequence_validation():
     with pytest.raises(PrecisionError):
         order_sequence(E4_POLY, TruncatedSeries([1, 1]), 3)
-    with pytest.raises(InputError):
-        order_sequence(E4_POLY, TruncatedSeries([0, 1]), 1)
+    # a zero c_1 is an ordinary seed: off E4's roots (c_1 = +-1) the orders
+    # stall, and on the root x^2 + x^4 + ... of y - x^2 - y^2 they rise
+    assert order_sequence(E4_POLY, TruncatedSeries([0, 1]), 1) == (2, 2)
+    assert order_sequence(BivarPoly({(0, 1): 1, (2, 0): -1, (0, 2): -1}),
+                          TruncatedSeries([0, 1]), 2) == (1, 2, 3)
     with pytest.raises(InputError):
         order_sequence(BivarPoly({(2, 0): 1}), TruncatedSeries([1]), 1)
 

@@ -12,7 +12,7 @@ from algseries import (AlgSeriesError, BivarPoly, InputError, LiftError, LiftRep
 from algseries import henselization, newton
 from algseries.henselization import leaves_branch
 from conftest import (E4_POLY, TANGENT, extended_seed, fixed_point_expand, late_branch_instances,
-                      liftable_instances, rational)
+                      liftable_instances, prefix, rational)
 from test_wilczynski import reference_eliminate
 
 CATALAN_POLY = BivarPoly({(0, 1): 1, (1, 0): -1, (0, 2): -1})  # y - x - y^2
@@ -220,7 +220,7 @@ def test_lift_through_a_high_order_derivative():
             e = bd.i_k0 - bd.k0 - 1
             for T in range(len(seed) + 1, 13):
                 lifted = newton_lift(shifted, seed, T).series
-                assert lifted == root.truncate(T)
+                assert lifted == prefix(root, T)
                 assert not eval_at_poly(shifted, list(lifted.one_based()), T + e)
             cases += 1
             high += e >= len(seed)
@@ -274,7 +274,7 @@ def test_lift_idempotence():
         short = newton_lift(P, seed, 7).series
         long = newton_lift(P, seed, 13).series
         again = newton_lift(P, list(short.one_based()), 13).series
-        assert long.truncate(7) == short
+        assert prefix(long, 7) == short
         assert again == long
 
 

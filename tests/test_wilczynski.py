@@ -17,7 +17,8 @@ from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
 from algseries.series import _clear
 from conftest import (E3_RECONSTRUCTED, E3_SHAPE, E4_POLY, HIGH_RATIONALS, SMALL_RATIONALS,
-                      e3_family_instance, henselian_instance, nonzero_rational, rational)
+                      e3_family_instance, henselian_instance, nonzero_rational, prefix,
+                      rational)
 
 ROOT16 = newton_lift(E4_POLY, [1, 1], 16).series
 # y0 = x/(1 - x): every coefficient 1, killed by x + xy - y and its multiples
@@ -143,17 +144,22 @@ def test_slab_reads_only_its_depth():
     c = newton_lift(E4_POLY, [1], 200).series
     needed = 8 + len(E3_SHAPE.G)
     slab = build_slab(E3_SHAPE, c, 8)
-    assert entries(slab) == entries(build_slab(E3_SHAPE, c.truncate(needed), 8))
+    assert entries(slab) == entries(build_slab(E3_SHAPE, prefix(c, needed), 8))
     assert all(len(power) == needed + 1 for power in slab.powers)
 
 
-def test_slab_requires_precision_and_unit_valuation():
+def test_slab_requires_precision_and_a_nonzero_coefficient():
     with pytest.raises(PrecisionError):
         build_slab(E3_SHAPE, TruncatedSeries([1, 1]), 8)
     from algseries import InputError
 
     with pytest.raises(InputError):
-        build_slab(E3_SHAPE, TruncatedSeries([0, 1, 1]), 2)
+        build_slab(E3_SHAPE, TruncatedSeries.zero(3), 2)
+    # any valuation: y0 = x^2 + x^3, y0^2 = x^4 + 2 x^5 + x^6, F-columns
+    # (2, 1), (0, 2), (2, 2) read y0[n - 2], y0^2[n] and y0^2[n - 2] in row n
+    slab = build_slab(E3_SHAPE, TruncatedSeries([0, 1, 1, 0, 0]), 4)
+    assert slab.row_labels == (1, 3, 4, 5)
+    assert entries(slab) == ((0, 0, 0), (0, 0, 0), (1, 1, 0), (1, 2, 0))
 
 
 # -- minors
@@ -397,14 +403,14 @@ def test_reconstruct_at_large_bounds(dx, dy, count):
     for _ in range(count):
         P, seed = liftable_henselian(rng, dx, dy)
         lift = newton_lift(P, seed, precision + 8).series
-        prefix = lift.truncate(precision)
-        result = reconstruct(full_support(dx, dy), prefix, dx, dy)
+        cut = prefix(lift, precision)
+        result = reconstruct(full_support(dx, dy), cut, dx, dy)
         Q = result.poly
         assert Q.x_degree <= dx and Q.y_degree <= dy
-        assert certify(Q, prefix, dx, dy)
+        assert certify(Q, cut, dx, dy)
         # the relation keeps vanishing past tau: lifted from the prefix it
         # follows the root of P, with a residual beyond the new precision
-        report = newton_lift(Q, list(prefix.one_based()), precision + 8)
+        report = newton_lift(Q, list(cut.one_based()), precision + 8)
         assert not eval_at_poly(Q, list(report.series.one_based()), precision + 8)
         assert report.series.one_based() == lift.one_based()
 
@@ -666,7 +672,7 @@ def test_reconstruct_round_trip_residual():
 
 def test_reconstruct_minimal_precision_suffices():
     # depth N = 8 plus |G| = 1 rows is all the data reconstruction may read
-    c = ROOT16.truncate(9)
+    c = prefix(ROOT16, 9)
     result = reconstruct(E3_SHAPE, c, 2, 2)
     assert result.poly == E3_RECONSTRUCTED
 
