@@ -20,7 +20,7 @@ from .errors import (AlgSeriesError, BudgetError, InputError, LiftError,
                      NotAlgebraicError, NotSimpleRootError, PrecisionError)
 from .flajolet_soria import (EnumerationBudget, ReducedHenselEq, closed_form_coefficient,
                              closed_form_coefficients, e_coefficient, fs_coefficient,
-                             fs_expand, weighted_compositions)
+                             fs_expand)
 from .henselization import (BranchData, HenselForm, branch_data, coefficient_after_branch,
                             henselize, order_sequence)
 from .newton import LiftReport, newton_lift

@@ -16,7 +16,7 @@ from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .series import _clear, _frac, _int_mul
+from .series import _clear, _frac, _powers
 
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
@@ -114,16 +114,6 @@ class BivarPoly:
         top = max(self._terms, key=lambda ij: (ij[1], ij[0]))
         sign = 1 if ints[top] > 0 else -1
         return BivarPoly({k: Fraction(sign * v, content) for k, v in ints.items()})
-
-
-def _powers(Y: list[int], top: int, n: int) -> list[list[int]]:
-    """[Y^0, .., Y^top] for the integer coefficient list Y, each cut after
-    x^n.  Y^1 is Y itself, and even powers are squares, the cheaper product."""
-    powers = [[1], Y[: n + 1]][: top + 1]
-    for j in range(2, top + 1):
-        half = powers[j // 2]
-        powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], Y, n))
-    return powers
 
 
 def _evaluate(d: int, Y: list[int], cuts: Sequence[tuple[BivarPoly, int]]

@@ -65,14 +65,15 @@ loop ends.
 All routes run under one budget and fail fast once it is exhausted; the
 closed form is exponential and must stay interactive.  Its walks run from
 explicit stacks rather than by recursion, so a long seed or a polynomial
-with many terms costs time and budget but never stack depth.  The walks
-count their nodes locally against the room the budget has left and charge
-it when the count passes that room (which raises) and when a walk ends.
+with many terms costs time and budget but never stack depth.  The closed
+form's walks count their nodes locally against the room the budget has
+left and charge it when the count passes that room (which raises) and when
+a walk ends; ``e_coefficient``'s walk charges each node as it pops it.
 The Flajolet-Soria loop charges len(Q^m) times the number of terms it
 multiplies by (those with l + m <= last) before each product: the most
 term products that step can make, so its time and memory stay under the
-budget too.  ``weighted_compositions`` (the seed spreads of a given size
-and weight) and ``multinomial`` serve the closed form alone.
+budget too.  ``_slots`` (a slot table, its spreads walked as multisets
+of seed positions) and ``multinomial`` serve the closed form alone.
 
 The closed form has an exact integer kernel of its own, apart from the
 series kernel, so neither expansion route borrows the other's arithmetic.
@@ -89,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bivar import BivarPoly
 from .errors import BudgetError, InputError
@@ -111,43 +112,6 @@ class EnumerationBudget:
         self.used += n
         if self.used > self.limit:
             raise BudgetError(f"enumeration exceeded {self.limit} units")
-
-
-def weighted_compositions(length: int, total: int, weight: int) -> Iterator[tuple[int, ...]]:
-    """Vectors t of the given length with sum(t) = total and
-    sum((v+1) * t[v]) = weight (positions weighted 1..length).
-
-    Such a vector is a partition of ``weight`` into exactly ``total`` parts
-    of size at most ``length`` (t[v] parts of size v+1).  The partitions are
-    walked from the largest part list down, one successor at a time, so the
-    work per vector is O(total + length) and nothing recurses.
-    """
-    if total < 0 or not total <= weight <= total * length:
-        return
-    parts = [0] * total
-
-    def fill(start: int, rem: int, cap: int) -> None:
-        # the lexicographically greatest non-increasing completion
-        for pos in range(start, total):
-            parts[pos] = min(cap, rem - (total - 1 - pos))
-            rem -= parts[pos]
-
-    fill(0, weight, length)
-    while True:
-        t = [0] * length
-        for size in parts:
-            t[size - 1] += 1
-        yield tuple(t)
-        # lower the rightmost part whose suffix can absorb one more unit
-        rem = parts[-1] if parts else 0
-        for pos in range(total - 2, -1, -1):
-            if rem + 1 <= (total - 1 - pos) * (parts[pos] - 1):
-                parts[pos] -= 1
-                fill(pos + 1, rem + 1, parts[pos])
-                break
-            rem += parts[pos]
-        else:
-            return
 
 
 def multinomial(L: Sequence[int]) -> int:
@@ -278,17 +242,40 @@ def _slots(i: int, j: int, k: int, i_k: int,
     on m hold automatically.  Given ``last``, only slots with l <= last are
     kept: the levels of an assignment are at least 1 each and sum to its
     index p, so no slot above the largest requested index is ever used.
+
+    For each m one walk reads the spreads as multisets of seed positions
+    p_1 <= .. <= p_(j-m), of weight ||L|| = p_1 + .. + p_(j-m), cut to the
+    window [lo, hi] of weights with levels 1..last.  The lowest next
+    position is pushed first, so the highest pops first; a higher position
+    at the first difference means fewer copies of a lower one, so the
+    spreads come out in lexicographic order.  The closed form's walks
+    prune along the slot lists, so their node counts depend on this order:
+    m rising (so |L| falling), then L lexicographic.
     """
     out = []
-    for m in range(0, j + 1):
-        top = (k + 1) * (j - m)
+    for m in range(j + 1):
+        n, base = j - m, comb(j, m)
+        lo = 1 - m * (k + 1) - i + i_k
+        hi = (k + 1) * n
         if last is not None:
-            top = min(top, last - m * (k + 1) - i + i_k)
-        # the walks' pruning, and so their node counts, depend on this
-        # order: m rising (so |L| falling), spreads lexicographic
-        spreads = sorted(L for w in range(max(0, 1 - m * (k + 1) - i + i_k), top + 1)
-                         for L in weighted_compositions(k + 1, j - m, w))
-        out.extend((m, L, comb(j, m) * multinomial(L)) for L in spreads)
+            hi = min(hi, last - m * (k + 1) - i + i_k)
+        # frames (positions so far, their weight)
+        stack = [((), 0)]
+        while stack:
+            ps, w = stack.pop()
+            left = n - len(ps)
+            if not left:
+                if lo <= w <= hi:
+                    L = [0] * (k + 1)
+                    for v in ps:
+                        L[v - 1] += 1
+                    out.append((m, tuple(L), base * multinomial(L)))
+                continue
+            # the next position v keeps the lightest completion (v repeated)
+            # at most hi and the heaviest (k + 1 after v) at least lo
+            low = max(ps[-1] if ps else 1, lo - w - (left - 1) * (k + 1))
+            for v in range(low, min(k + 1, (hi - w) // left) + 1):
+                stack.append((ps + (v,), w + v))
     return out
 
 
@@ -326,8 +313,7 @@ def _e_walk(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], in
         return 0
     fq = factorial(sum(s for _, s in items))
     last = len(items) - 1
-    room = budget.limit - budget.used
-    nodes = acc = 0
+    acc = 0
     # a node puts n copies of one slot's spread into the spread left to
     # cover; a frame is (item index, slot index, exponent left for the item,
     # spread left, prod n!, prod base^n), and an item's last slot takes all
@@ -336,9 +322,7 @@ def _e_walk(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], in
     pop, push = stack.pop, stack.append
     while stack:
         item, slot, left, remaining, denom, bases = pop()
-        nodes += 1
-        if nodes > room:
-            budget.spend(nodes)
+        budget.spend()
         slots = items[item][0]
         _m, L, base = slots[slot]
         if slot < len(slots) - 1:
@@ -360,7 +344,6 @@ def _e_walk(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], in
             push((item + 1, 0, items[item + 1][1], remaining, denom, bases))
         elif not any(remaining):
             acc += fq // denom * bases
-    budget.spend(nodes)
     return acc
 
 

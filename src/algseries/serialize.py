@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 from typing import Any
 
 from .bivar import BivarPoly
@@ -65,9 +64,10 @@ def parse_rat(text: str) -> Fraction:
         raise InputError("zero is written '0'")
     if den == 1 and m.group(2):
         raise InputError(f"denominator 1 is written bare: {text!r}")
-    if gcd(abs(num), den) != 1:
+    value = Fraction(num, den)
+    if value.denominator != den:
         raise InputError(f"rational not in lowest terms: {text!r}")
-    return Fraction(num, den)
+    return value
 
 
 def dumps(obj: Any) -> str:

@@ -4,15 +4,17 @@ A series is known modulo x^(T+1): exactly the coefficients of x^0..x^T are
 stored, and nothing is claimed beyond that.  ``fractions.Fraction`` is the
 boundary type: every stored coefficient, argument and result is a Fraction
 in canonical reduced form, so every operation here is exact.  Inside the
-kernel (``_int_mul``, ``_inverse``) a coefficient list is integer
-numerators over one common denominator, and a product is one
+kernel (``_int_mul``, ``_powers``, ``_inverse``) a coefficient list is
+integer numerators over one common denominator, and a product is one
 multiplication of two Kronecker-packed integers.  ``_int_mul`` is the one
-product: ``series_pow`` calls it here, and evaluation (``bivar._powers``)
-and the Newton lift call it too.  ``_inverse`` is the one Newton inverse:
-``series_div`` starts it from 1 / v_e, and the Newton lift refines the one
-it carries from step to step.  The valuation is always computed from the
-stored data; a truncation whose stored coefficients all vanish is a
-distinguished state that only promises "order > precision".
+product and ``_powers`` the one power table on it: ``series_pow`` reads
+its last power, evaluation (``bivar``) and the slab (``wilczynski``) the
+whole table, and the Newton lift calls ``_int_mul`` itself.  ``_inverse``
+is the one Newton inverse: ``series_div`` starts it from 1 / v_e, and the
+Newton lift refines the one it carries from step to step.  The valuation
+is always computed from the stored data; a truncation whose stored
+coefficients all vanish is a distinguished state that only promises
+"order > precision".
 """
 
 from __future__ import annotations
@@ -169,6 +171,16 @@ def _int_mul(a: list[int], b: list[int], n: int) -> list[int]:
             for k in range(0, width * size, width)]
 
 
+def _powers(Y: list[int], top: int, n: int) -> list[list[int]]:
+    """[Y^0, .., Y^top] for the integer coefficient list Y, each cut after
+    x^n.  Y^1 is Y itself, and even powers are squares, the cheaper product."""
+    powers = [[1], Y[: n + 1]][: top + 1]
+    for j in range(2, top + 1):
+        half = powers[j // 2]
+        powers.append(_int_mul(half, half, n) if j % 2 == 0 else _int_mul(powers[-1], Y, n))
+    return powers
+
+
 def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     """j-th power of a series with zero constant term, modulo x^(precision+1).
 
@@ -186,20 +198,11 @@ def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     one = TruncatedSeries((1,), precision=precision, start=0)
     if j == 0:
         return one
-    # y is cleared once to N / d, and N^j is taken by binary powering on
-    # integers, one Fraction per coefficient at the end
-    d, power = _clear(y.coefficients()[: precision + 1])
-    acc = None
-    remaining = j
-    while True:
-        if remaining & 1:
-            acc = power if acc is None else _int_mul(acc, power, precision)
-        remaining >>= 1
-        if not remaining:
-            break
-        power = _int_mul(power, power, precision)
+    # y is cleared once to N / d, and N^j is the last of ``_powers``, one
+    # Fraction per coefficient at the end
+    d, N = _clear(y.coefficients()[: precision + 1])
     den = d ** j
-    return TruncatedSeries._from_dense([Fraction(v, den) for v in acc])
+    return TruncatedSeries._from_dense([Fraction(v, den) for v in _powers(N, j, precision)[j]])
 
 
 def _inverse(dw: int, w: list[int], guess=None) -> tuple[int, list[int]]:

@@ -44,9 +44,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .bivar import BivarPoly, _powers, eval_at_poly
+from .bivar import BivarPoly, eval_at_poly
 from .errors import InputError, NotAlgebraicError, PrecisionError
-from .series import TruncatedSeries, _clear, _frac
+from .series import TruncatedSeries, _clear, _frac, _powers
 from .series import series_pow  # unused; bound because bench/tracing.py wraps it
 from .support import SupportShape, antilex_key
 

@@ -2,12 +2,13 @@
 for algebraic-root instances used across the suite."""
 
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data,
-                       coefficient_after_branch, eval_at_poly, weighted_compositions)
+                       coefficient_after_branch, eval_at_poly)
 from algseries.flajolet_soria import multinomial
 
 # P = y^2 + x^2 y^2 - 2 x^2 y - x^2, simple root starting 1, 1, 0, -1, -1/2, ...
@@ -204,13 +205,24 @@ def extended_seed(P, coeffs):
     return bd, coeffs
 
 
+def spreads(length, total, weight):
+    """Vectors t of the given length with sum(t) = total and
+    sum((v+1) * t[v]) = weight, as the multisets of ``total`` positions
+    1..length with that sum, in the order itertools reads them."""
+    out = []
+    for positions in combinations_with_replacement(range(1, length + 1), total):
+        if sum(positions) == weight:
+            out.append(tuple(positions.count(v) for v in range(1, length + 1)))
+    return out
+
+
 def power_coefficient(seed, n, w):
     """Coefficient of x^w in (c_1 x + ... + c_s x^s)^n for seed = c_1..c_s,
     as the multinomial sum over the spreads of n with weight w (the integer
     0 when there is none): the literal reference for the seed powers that
     the Hensel-form tables read."""
     total = 0
-    for L in weighted_compositions(len(seed), n, w):
+    for L in spreads(len(seed), n, w):
         term = multinomial(L)
         for c, t in zip(seed, L):
             if t:

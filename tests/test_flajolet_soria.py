@@ -2,7 +2,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 from operator import sub
 
 import pytest
@@ -14,10 +14,11 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        closed_form_coefficient, closed_form_coefficients,
                        coefficient_after_branch, e_coefficient,
                        eval_at_poly, fs_coefficient, fs_expand, henselize, newton_lift,
-                       series, weighted_compositions)
+                       series)
 from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, henselian_instance,
-                      late_branch_instances, liftable_instances, nonzero_rational, rational)
+                      late_branch_instances, liftable_instances, nonzero_rational, rational,
+                      spreads)
 
 CATALAN_EQ = ReducedHenselEq({(1, 0): 1, (0, 2): 1})
 
@@ -123,28 +124,6 @@ def test_fs_long_support_does_not_recurse():
 # -- the enumeration layer
 
 
-def test_weighted_compositions_match_brute_force():
-    for length in range(1, 6):
-        for total in range(0, 5):
-            for weight in range(-1, total * length + 2):
-                got = list(weighted_compositions(length, total, weight))
-                expect = [t for t in itertools.product(range(total + 1), repeat=length)
-                          if sum(t) == total
-                          and sum((v + 1) * e for v, e in enumerate(t)) == weight]
-                assert len(set(got)) == len(got)
-                assert sorted(got) == expect
-    assert list(weighted_compositions(3, -1, 0)) == []
-
-
-def test_weighted_compositions_long_vectors():
-    for w in (1, 550, 1100):
-        unit = [0] * 1100
-        unit[w - 1] = 1
-        assert list(weighted_compositions(1100, 1, w)) == [tuple(unit)]
-    assert list(weighted_compositions(1100, 1, 1101)) == []
-    assert len(list(weighted_compositions(1100, 2, 1100))) == 550
-
-
 def _slots_by_filter(i, j, k, i_k):
     # every spread of j - m over k + 1 places, in lexicographic order, kept
     # when its x-level clears i_k
@@ -179,6 +158,35 @@ def test_capped_slots_are_the_low_levels_of_the_full_table(i, j, k, i_k, last):
 
     full = _slots(i, j, k, i_k)
     assert _slots(i, j, k, i_k, last) == [s for s in full if level(s) <= last]
+
+
+def test_slots_on_a_long_seed():
+    # k = 1099: a spread of one position is the unit vector at the position
+    # its level asks for, 1 to 1100 and none past it, and a pair of weight
+    # 1100 is one of the 550 pairs (v, 1100 - v) with v <= 550
+    def unit(v):
+        return tuple(int(u == v) for u in range(1, 1101))
+
+    assert _slots(0, 1, 1099, 0, 1) == [(0, unit(1), 1)]
+    assert _slots(0, 1, 1099, 549, 1) == [(0, unit(550), 1)]
+    assert _slots(0, 1, 1099, 549, 0) == []
+    # at level 1 the empty spread of m = 1 joins the unit at 1100
+    assert _slots(0, 1, 1099, 1099, 1) == [(0, unit(1100), 1), (1, (0,) * 1100, 1)]
+    assert _slots(0, 1, 1099, 1100, 1) == []
+    assert len(_slots(0, 2, 1099, 1099, 1)) == 550
+
+
+def test_slots_match_filtered_spreads_at_k50():
+    # the position walk against the literal multisets, level-filtered and
+    # sorted lexicographically, on a 51-term seed
+    k = 50
+    for i, j, i_k, last in itertools.product(range(3), range(4), (0, 25, 51, 52), range(5)):
+        expect = []
+        for m in range(j + 1):
+            levels = range(1 - m * (k + 1) - i + i_k, last - m * (k + 1) - i + i_k + 1)
+            expect += [(m, L, comb(j, m) * multinomial(L))
+                       for L in sorted(L for w in levels for L in spreads(k + 1, j - m, w))]
+        assert _slots(i, j, k, i_k, last) == expect
 
 
 # -- the closed form
@@ -454,7 +462,7 @@ def reference_closed_form(P, c, k, i_k, omega0, p, budget):
             for t, e in chosen:
                 a_power *= usable[t][1] ** e
             inner = F(0)
-            for T in weighted_compositions(k + 1, tot, wgt):
+            for T in spreads(k + 1, tot, wgt):
                 budget.spend()
                 mono = F(reference_e_from_slots(items, slot_table, T, budget))
                 for v, t in enumerate(T):
@@ -837,7 +845,7 @@ def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
         raise AssertionError("the series kernel was called")
 
     for module, name in [(series, "_int_mul"), (series, "series_div"),
-                         (series, "series_pow"), (bivar, "_evaluate"), (bivar, "_int_mul")]:
+                         (series, "series_pow"), (bivar, "_evaluate"), (bivar, "_powers")]:
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError, match="series kernel"):
         newton_lift(*cases[0][:2], 6)
