@@ -16,7 +16,7 @@ from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .series import _clear, _frac, _powers
+from .series import _clear, _frac, _powers, uni_order  # uni_order: re-exported
 
 
 # -- dense univariate helpers (index = exponent, trailing zeros trimmed)
@@ -25,14 +25,6 @@ def _utrim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def uni_order(a: Sequence[Fraction]) -> int | None:
-    """Order of a dense univariate polynomial; None for the zero polynomial."""
-    for n, c in enumerate(a):
-        if c:
-            return n
-    return None
 
 
 class BivarPoly:
@@ -92,15 +84,16 @@ class BivarPoly:
         return self._terms == other._terms
 
     def __repr__(self):
+        name = type(self).__name__
         if not self._terms:
-            return "BivarPoly(0)"
+            return f"{name}(0)"
         bits = []
         for (i, j), c in self.sorted_terms():
             mono = "".join(
                 (f"x^{i}" if i > 1 else "x" if i == 1 else "",
                  f"y^{j}" if j > 1 else "y" if j == 1 else ""))
             bits.append(f"({c}){mono}" if mono else f"({c})")
-        return "BivarPoly(" + " + ".join(bits) + ")"
+        return f"{name}(" + " + ".join(bits) + ")"
 
     def primitive_normalized(self) -> "BivarPoly":
         """Canonical representative of the ray through this polynomial:

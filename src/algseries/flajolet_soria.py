@@ -123,48 +123,22 @@ def multinomial(L: Sequence[int]) -> int:
     return out
 
 
-class ReducedHenselEq:
-    """Equation y = Q(x, y) with Q(0,0) = dQ/dy(0,0) = 0.
+class ReducedHenselEq(BivarPoly):
+    """Equation y = Q(x, y) with Q(0,0) = dQ/dy(0,0) = 0, held as the
+    polynomial Q itself.
 
     ``terms`` maps (l, m) to the coefficient of x^l y^m in Q.  When
     Q(x, 0) vanishes identically the unique solution is y = 0.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for key, value in terms.items():
-            l, m = int(key[0]), int(key[1])
-            if l < 0 or m < 0:
-                raise InputError("exponents must be natural numbers")
-            c = _frac(value)
-            if c:
-                cleaned[(l, m)] = c
-        if (0, 0) in cleaned:
+        super().__init__(terms)
+        if (0, 0) in self._terms:
             raise InputError("reduced Henselian equation cannot have a constant term")
-        if (0, 1) in cleaned:
+        if (0, 1) in self._terms:
             raise InputError("reduced Henselian equation cannot have a bare y term")
-        self._terms = cleaned
-
-    @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
-
-    @property
-    def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._terms))
-
-    def as_poly(self) -> BivarPoly:
-        return BivarPoly(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReducedHenselEq):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self):
-        return f"ReducedHenselEq({dict(sorted(self._terms.items()))!r})"
 
 
 def _fs_window(Q: ReducedHenselEq, first: int, last: int,

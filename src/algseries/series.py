@@ -12,7 +12,8 @@ its last power, evaluation (``bivar``) and the slab (``wilczynski``) the
 whole table, and the Newton lift calls ``_int_mul`` itself.  ``_inverse``
 is the one Newton inverse: ``series_div`` starts it from 1 / v_e, and the
 Newton lift refines the one it carries from step to step.  The valuation
-is always computed from the stored data; a truncation whose stored
+is always computed from the stored data by ``uni_order``, the one
+first-nonzero scan (``bivar`` re-exports it); a truncation whose stored
 coefficients all vanish is a distinguished state that only promises
 "order > precision".
 """
@@ -24,6 +25,14 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError, PrecisionError
+
+
+def uni_order(a: Sequence[Fraction]) -> int | None:
+    """Order of a dense univariate polynomial; None for the zero polynomial."""
+    for n, c in enumerate(a):
+        if c:
+            return n
+    return None
 
 
 def _frac(value) -> Fraction:
@@ -67,13 +76,6 @@ class TruncatedSeries:
     def zero(cls, precision: int) -> "TruncatedSeries":
         return cls((), precision=precision, start=1)
 
-    @classmethod
-    def _from_dense(cls, dense: Sequence[Fraction]) -> "TruncatedSeries":
-        s = cls.__new__(cls)
-        s._c = tuple(dense)
-        s._precision = len(dense) - 1
-        return s
-
     @property
     def precision(self) -> int:
         return self._precision
@@ -82,14 +84,7 @@ class TruncatedSeries:
     def valuation(self) -> int | None:
         """Least exponent with a nonzero coefficient, or None when every
         stored coefficient vanishes (order > precision)."""
-        for n, c in enumerate(self._c):
-            if c:
-                return n
-        return None
-
-    @property
-    def is_zero_truncation(self) -> bool:
-        return self.valuation is None
+        return uni_order(self._c)
 
     def coefficient(self, n: int) -> Fraction:
         if n < 0:
@@ -202,7 +197,8 @@ def series_pow(y: TruncatedSeries, j: int, precision: int) -> TruncatedSeries:
     # Fraction per coefficient at the end
     d, N = _clear(y.coefficients()[: precision + 1])
     den = d ** j
-    return TruncatedSeries._from_dense([Fraction(v, den) for v in _powers(N, j, precision)[j]])
+    return TruncatedSeries([Fraction(v, den) for v in _powers(N, j, precision)[j]],
+                           precision=precision, start=0)
 
 
 def _inverse(dw: int, w: list[int], guess=None) -> tuple[int, list[int]]:
@@ -248,15 +244,15 @@ def series_div(u: TruncatedSeries, v: TruncatedSeries, precision: int) -> Trunca
         raise InputError("division by a series with no visible nonzero coefficient")
     if min(u.precision, v.precision) - e < precision:
         raise PrecisionError("insufficient precision for the requested quotient")
-    if u.is_zero_truncation:
+    if u.valuation is None:
         return TruncatedSeries.zero(precision)
     k = u.valuation - e
     if k < 0:
         raise InputError("quotient is not a power series (numerator order too small)")
     m = precision - k  # the inverse is needed through x^m
     if m < 0:
-        return TruncatedSeries._from_dense([Fraction(0)] * (precision + 1))
+        return TruncatedSeries.zero(precision)
     D, G = _inverse(*_clear(v.coefficients()[e: e + m + 1]))
     du, shifted = _clear(u.coefficients()[e + k: e + precision + 1])
     quotient = [Fraction(c, du * D) for c in _int_mul(shifted, G, m)]
-    return TruncatedSeries._from_dense([Fraction(0)] * k + quotient)
+    return TruncatedSeries(quotient, precision=precision, start=k)

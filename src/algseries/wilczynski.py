@@ -195,8 +195,7 @@ class WilczynskiSlab:
     ``row_labels`` are the surviving row indices of the unreduced matrix
     (1-based; the rows pointed at by G are skipped).  ``rows[r][c]`` /
     ``den`` is the coefficient of x^(label_r - i) in y0^j for the c-th
-    shape column (i, j).  ``powers[j]`` / ``den`` is y0^j through
-    x^(depth + |G|), the last power a row can read.
+    shape column (i, j).
     """
 
     shape: SupportShape
@@ -204,7 +203,6 @@ class WilczynskiSlab:
     rows: tuple[tuple[int, ...], ...]
     den: int
     depth: int
-    powers: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ def build_slab(shape: SupportShape, c: TruncatedSeries, depth: int) -> Wilczynsk
         powers.append(tuple(v * scale for v in power) + (0,) * (needed + 1 - len(power)))
     rows = tuple(tuple(powers[j][label - i] if label >= i else 0 for (i, j) in shape.F)
                  for label in labels)
-    return WilczynskiSlab(shape, tuple(labels), rows, D ** top, depth, tuple(powers))
+    return WilczynskiSlab(shape, tuple(labels), rows, D ** top, depth)
 
 
 def wilczynski_minor(slab: WilczynskiSlab, idx: MinorIndex) -> Fraction:
@@ -307,19 +305,6 @@ class ReconstructionResult:
     conditional: bool = True
 
 
-def _constant_terms(slab: WilczynskiSlab, a_F: dict[tuple[int, int], Fraction]
-                    ) -> dict[tuple[int, int], Fraction]:
-    """Pure-x coefficients forced by the F-part: a_{k,0} cancels the
-    coefficient of x^k in the partial combination, read off the slab's
-    integer powers."""
-    out = dict(a_F)
-    for (k, _zero) in slab.shape.G:
-        acc = sum((a * slab.powers[j][k - i] for (i, j), a in a_F.items() if i < k), Fraction(0))
-        if acc:
-            out[(k, 0)] = -acc / slab.den
-    return out
-
-
 def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> ReconstructionResult:
     """Reconstruct a certified vanishing polynomial with support in F + G.
 
@@ -332,8 +317,11 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
     relation are exact although the elimination runs mod a prime: full
     column rank mod p implies full rank over Q, and below it a kernel vector
     per non-pivot column, verified over Q, bounds the rank over Q by the
-    rank mod p (``_slab_kernel``).  The pure-x terms are then forced, and
-    the polynomial is certified by ``certify``, independently of the slab.
+    rank mod p (``_slab_kernel``).  The pure-x terms are then forced: with
+    a_F the F-part, ``eval_at_poly`` gives a_F(x, y0) through the largest k
+    of G, and a_{k,0} = -[x^k] a_F(x, y0) for each (k, 0) in G (no term
+    when that coefficient is 0).  The polynomial is then certified by
+    ``certify``, independently of the slab.
     A slab-kernel vector zeroes every slab row and the forced terms zero
     the rows G removed, so it vanishes through depth 2*dx*dy; a nonzero
     coefficient past that disproves the degree-bound hypothesis, and
@@ -351,8 +339,12 @@ def reconstruct(shape: SupportShape, c: TruncatedSeries, dx: int, dy: int) -> Re
             f"not algebraic at bounds ({dx}, {dy}): the depth-{slab.depth} "
             f"slab has full column rank {rank}"
         )
-    a_F = {pair: a for pair, a in zip(shape.F, relation) if a}
-    poly = BivarPoly(_constant_terms(slab, a_F))
+    a_F = BivarPoly({pair: a for pair, a in zip(shape.F, relation) if a})
+    top = max((k for k, _ in shape.G), default=0)
+    low = eval_at_poly(a_F, c.coefficients()[1: top + 1], top)
+    terms = a_F.terms
+    terms.update({(k, 0): -low[k] for k, _ in shape.G if k < len(low)})
+    poly = BivarPoly(terms)
     if not certify(poly, c, dx, dy):
         raise NotAlgebraicError(
             f"the slab relation fails certification through x^{c.precision}: "

@@ -240,8 +240,7 @@ def fixed_point_expand(Q, precision):
     """
     if precision < 1:
         raise InputError("precision must be at least 1")
-    poly = Q.as_poly()
     y = []
     for _ in range(precision):
-        y = eval_at_poly(poly, y, precision)[1:]
+        y = eval_at_poly(Q, y, precision)[1:]
     return TruncatedSeries(y, precision=precision, start=1)

@@ -30,6 +30,16 @@ def test_eq_validation():
         ReducedHenselEq({(0, 1): 1, (1, 0): 1})
     # Q(x, 0) = 0 is accepted, and its solution is y = 0
     assert fs_expand(ReducedHenselEq({(1, 1): 1}), 3).one_based() == (0, 0, 0)
+    # the equation is the polynomial Q: BivarPoly's checks and cleaning,
+    # equality with the same BivarPoly, and evaluation as it stands
+    with pytest.raises(InputError):
+        ReducedHenselEq({(-1, 2): 1, (1, 0): 1})
+    t = {(1, 0): 1, (2, 1): 0, (0, 2): F(1, 2)}
+    assert ReducedHenselEq(t).terms == {(1, 0): 1, (0, 2): F(1, 2)}
+    assert ReducedHenselEq(t) == BivarPoly(t)
+    Q = henselize(E4_POLY, TruncatedSeries([1, 1]), 1).eq
+    y = fs_expand(Q, 8)
+    assert TruncatedSeries(eval_at_poly(Q, y.one_based(), 8), precision=8, start=0) == y
 
 
 def test_fs_trivial_equation():
@@ -679,7 +689,7 @@ def reference_exponent_vectors(support, n, size_cap, budget):
 def reference_fs_coefficient(Q, n, budget):
     """The Flajolet-Soria sum for one index over the reference walk, every
     size up to 2n - 1."""
-    support, coeffs = Q.support, Q.terms
+    support, coeffs = sorted(Q.terms), Q.terms
     total = F(0)
     for chosen, size in reference_exponent_vectors(support, n, 2 * n - 1, budget):
         term = F(multinomial([e for _, e in chosen]), size)

@@ -9,7 +9,7 @@ from algseries import (AlgSeriesError, BivarPoly, InputError, LiftError, LiftRep
                        NotSimpleRootError, PrecisionError, ReducedHenselEq, TruncatedSeries,
                        bareiss_det, branch_data, eval_at_poly, newton_lift, series_div,
                        uni_order)
-from algseries import henselization, newton
+from algseries import henselization, newton, series
 from algseries.henselization import leaves_branch
 from conftest import (E4_POLY, TANGENT, extended_seed, fixed_point_expand, late_branch_instances,
                       liftable_instances, prefix, rational)
@@ -266,6 +266,39 @@ def test_lift_does_not_rescan_a_long_seed(monkeypatch):
         report = newton_lift(P, prefix, 70)
         assert report.series.one_based()[:64] == tuple(prefix)
         assert len(calls) <= 2 * P.x_degree * P.y_degree + 3
+
+
+def test_carried_inverse_takes_at_most_two_products(monkeypatch):
+    # a carried inverse g of w = (dP/dy) / x^e is only refined: the residue
+    # w g - 1 is the input of the correction g (w g - 1), and one correction
+    # reaches the step's precision, so a carried call makes those two
+    # products and no more.  A call that makes only the residue product
+    # found the guess already exact and returns it unchanged.
+    rng = random.Random(53)
+    instances = late_branch_instances(rng, 8) + liftable_instances(rng, 8)
+    products = [0]
+    carried = []
+    int_mul, inverse = series._int_mul, newton._inverse
+
+    def counted_mul(*args):
+        products[0] += 1
+        return int_mul(*args)
+
+    def counted_inverse(dw, w, guess=None):
+        products[0] = 0
+        out = inverse(dw, w, guess)
+        if guess is not None:
+            carried.append((products[0], out == (guess[0], guess[1][:len(w)])))
+        return out
+
+    monkeypatch.setattr(series, "_int_mul", counted_mul)
+    monkeypatch.setattr(newton, "_inverse", counted_inverse)
+    for P, seed, bd in instances:
+        for T in (30, 120):
+            newton_lift(P, seed, T, branch=bd)
+    assert len(carried) > 50
+    assert all(1 <= n <= 2 for n, _ in carried)
+    assert all(kept for n, kept in carried if n == 1)
 
 
 def test_lift_idempotence():

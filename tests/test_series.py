@@ -85,7 +85,7 @@ def test_power_matches_schoolbook_power(a, j, precision, constant):
 def test_valuation_and_zero_truncation():
     assert TruncatedSeries([0, 0, 5, 1]).valuation == 3
     z = TruncatedSeries.zero(6)
-    assert z.valuation is None and z.is_zero_truncation and z.precision == 6
+    assert z.valuation is None and z.precision == 6
 
 
 def test_coefficient_beyond_precision_raises():
@@ -166,7 +166,7 @@ def _div_recurrence(u, v, precision):
         raise InputError("division by a zero truncation")
     if min(u.precision, v.precision) - e < precision:
         raise PrecisionError("insufficient precision")
-    if u.is_zero_truncation:
+    if u.valuation is None:
         return TruncatedSeries.zero(precision)
     if u.valuation < e:
         raise InputError("numerator order too small")

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import (BivarPoly, MinorIndex, NotAlgebraicError, PrecisionError,
-                       SupportShape, TruncatedSeries, branch_data, build_slab, certify,
-                       eval_at_poly, full_support, newton_lift, reconstruct, series_pow,
-                       wilczynski, wilczynski_minor)
+                       SupportShape, TruncatedSeries, antilex_key, branch_data, build_slab,
+                       certify, eval_at_poly, full_support, newton_lift, reconstruct,
+                       series_pow, wilczynski, wilczynski_minor)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
 from algseries.series import _clear
@@ -140,12 +140,11 @@ def test_slab_columns_are_f_only():
 
 def test_slab_reads_only_its_depth():
     # no row reads past label depth + |G|: a long series gives the entries
-    # of its cut, and the cached powers stop there
+    # of its cut
     c = newton_lift(E4_POLY, [1], 200).series
     needed = 8 + len(E3_SHAPE.G)
     slab = build_slab(E3_SHAPE, c, 8)
     assert entries(slab) == entries(build_slab(E3_SHAPE, prefix(c, needed), 8))
-    assert all(len(power) == needed + 1 for power in slab.powers)
 
 
 def test_slab_requires_precision_and_a_nonzero_coefficient():
@@ -413,6 +412,57 @@ def test_reconstruct_at_large_bounds(dx, dy, count):
         report = newton_lift(Q, list(cut.one_based()), precision + 8)
         assert not eval_at_poly(Q, list(report.series.one_based()), precision + 8)
         assert report.series.one_based() == lift.one_based()
+
+
+def reference_forced_terms(poly, shape, c):
+    """a_{k,0} = -sum over the y-terms a_ij of poly of a_ij [x^(k-i)] y0^j,
+    for each (k, 0) of G, with the powers y0^j by schoolbook Fraction
+    products through x^(largest k)."""
+    top = max((k for k, _ in shape.G), default=0)
+    y0 = [F(0)] + [c.coefficient(n) for n in range(1, top + 1)]
+    powers = [[F(1)] + [F(0)] * top]
+    for _ in range(shape.max_y):
+        prev = powers[-1]
+        powers.append([sum((prev[a] * y0[n - a] for a in range(n + 1)), F(0))
+                       for n in range(top + 1)])
+    a_F = [(i, j, a) for (i, j), a in poly.terms.items() if j]
+    return {(k, 0): -sum((a * powers[j][k - i] for i, j, a in a_F if i <= k), F(0))
+            for k, _ in shape.G}
+
+
+def random_shape(rng, P, dx, dy):
+    """The support of P split into F and G, each with random extra entries
+    below the bounds."""
+    grid = full_support(dx, dy)
+    F_ = {key for key in P.terms if key[1]} | {key for key in grid.F if rng.random() < 0.4}
+    G = {key for key in P.terms if not key[1]} | {key for key in grid.G if rng.random() < 0.4}
+    return SupportShape(F=tuple(sorted(F_, key=antilex_key)), G=tuple(sorted(G, key=antilex_key)))
+
+
+def test_forced_pure_x_terms_match_the_literal_sum():
+    # every stored (k, 0) coefficient of a reconstruction is -sum_F a_ij
+    # [x^(k-i)] y0^j, and a G entry whose sum vanishes stores no term
+    cases = [
+        (E3_SHAPE, ROOT16, 2, 2),
+        # y^2 - x^2 - 2x^2y^2 forces a_{1,0} = 0
+        (full_support(2, 3), Y2_ROOT20, 2, 3),
+        (SupportShape(F=((1, 1), (0, 2)), G=()), TruncatedSeries([2] + [0] * 7), 1, 2),
+        (SupportShape(F=((1, 1),), G=((2, 0), (3, 0), (4, 0), (5, 0))),
+         TruncatedSeries([3, -1, 2, 5] + [0] * 10), 5, 1),
+    ]
+    rng = random.Random(61)
+    for dx, dy in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]:
+        P, seed = liftable_henselian(rng, dx, dy)
+        c = newton_lift(P, seed, 2 * dx * dy + dx + 4).series
+        cases += [(full_support(dx, dy), c, dx, dy), (random_shape(rng, P, dx, dy), c, dx, dy)]
+    zero_forced = 0
+    for shape, c, dx, dy in cases:
+        poly = reconstruct(shape, c, dx, dy).poly
+        expected = reference_forced_terms(poly, shape, c)
+        assert {key: a for key, a in poly.terms.items() if not key[1]} == \
+            {key: a for key, a in expected.items() if a}
+        zero_forced += sum(1 for a in expected.values() if not a)
+    assert zero_forced >= 1
 
 
 def test_rank_at_non_minimal_bounds():
