@@ -13,8 +13,9 @@ the root:
 
 with q = |S|, |T| = yw(S) - q + 1, ||T|| = p + q i_k - (q-1)(k+1) - xw(S),
 and e(S, T) the sum, over the assignments of each exponent s_{i,j} of S to
-the slots of (i, j) (a y-exponent m and a seed spread L, ``_slots``) whose
-spreads add up to T, of q!/prod(n!) times the slot multinomials.
+the slots of (i, j) (a y-exponent m and a seed spread L, held as its seed
+positions, ``_slots``) whose spreads add up to T, of q!/prod(n!) times the
+slot multinomials.
 
 The closed form is summed in this order:
 
@@ -31,13 +32,18 @@ The closed form is summed in this order:
 Every term is a term of the literal closed form, and every nonzero term
 of it is visited once: a slot whose spread reaches a zero seed coefficient
 has the value 0 and is left out of the walk.  Only the order of summation
-differs from the formula (``e_coefficient`` still gives each e(S, T) on
-its own).  That is why this is still the closed form and not the Hensel
-form: no slot family is summed as a power of a generating polynomial.  Doing so would be the seed
-substitution that ``henselize`` performs, and would fold this route into
-the Flajolet-Soria one.  The walks take no coefficient from the Hensel
-form or the series kernel, so the two routes stay independent evidence of
-each other.
+differs from the formula.  That is why this is still the closed form and
+not the Hensel form: no slot family is summed as a power of a generating
+polynomial.  Doing so would be the seed substitution that ``henselize``
+performs, and would fold this route into the Flajolet-Soria one.  The
+walks take no coefficient from the Hensel form or the series kernel, so
+the two routes stay independent evidence of each other.
+
+``e_coefficient`` gives each e(S, T) on its own, as q!/prod(s!) times the
+coefficient of c^T in the product over the items of S of their slot sums
+(sum over slots of base * c^L)^s, each product cut to the monomials at
+most T entry by entry.  It is a weight for one T, with no seed values in
+it, and no route calls it.
 
 The slot walk places one copy of an item per node, an item's copies
 taking its slots in non-decreasing order, so every assignment is visited
@@ -68,21 +74,24 @@ explicit stacks rather than by recursion, so a long seed or a polynomial
 with many terms costs time and budget but never stack depth.  The closed
 form's walks count their nodes locally against the room the budget has
 left and charge it when the count passes that room (which raises) and when
-a walk ends; ``e_coefficient``'s walk charges each node as it pops it.
-The Flajolet-Soria loop charges len(Q^m) times the number of terms it
-multiplies by (those with l + m <= last) before each product: the most
-term products that step can make, so its time and memory stay under the
-budget too.  ``_slots`` (a slot table, its spreads walked as multisets
-of seed positions) and ``multinomial`` serve the closed form alone.
+a walk ends.  The Flajolet-Soria loop charges len(Q^m) times the number
+of terms it multiplies by (those with l + m <= last) before each product,
+and ``e_coefficient`` charges the number of monomials kept times the
+number of slots before each product by a slot sum: term products, not
+walk nodes, the most that step can make, so its time and memory stay
+under the budget too.  ``_slots`` (a slot table, each spread walked as
+the multiset of its seed positions) and ``multinomial`` serve the closed
+form alone.
 
 The closed form has an exact integer kernel of its own, apart from the
 series kernel, so neither expansion route borrows the other's arithmetic.
 The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
 denominator D and the coefficients of P to numerators over one A.  A slot's
-monomial is base * prod n_v^L_v over D^|L|, every assignment of one S has
-the same |T|, and every S of one q shares A^q, so a Fraction is made only
-per (p, q, |T|).  The Flajolet-Soria sums clear the coefficients of Q the
-same way and make one Fraction per index n and size m.
+monomial is base * prod n_v over its positions v, over D^|L|, every
+assignment of one S has the same |T|, and every S of one q shares A^q, so
+a Fraction is made only per (p, q, |T|).  The Flajolet-Soria sums clear
+the coefficients of Q the same way and make one Fraction per index n and
+size m.
 """
 
 from __future__ import annotations
@@ -90,6 +99,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import add, le
 from typing import Mapping, Sequence
 
 from .bivar import BivarPoly
@@ -103,7 +113,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 class EnumerationBudget:
     """Mutable work counter shared by the routes of one request: one unit
     per node of a closed-form walk, and one per term product the
-    Flajolet-Soria loop may make."""
+    Flajolet-Soria loop or ``e_coefficient`` may make."""
 
     limit: int = DEFAULT_NODE_BUDGET
     used: int = 0
@@ -209,47 +219,49 @@ def _slots(i: int, j: int, k: int, i_k: int,
            last: int | None = None) -> list[tuple[int, tuple[int, ...], int]]:
     """Ways a factor a_{i,j} can enter a Hensel-form coefficient.
 
-    Each slot is (m, L, base): a y-exponent m <= j, a spread L of j - m
-    over the seed coefficients c_1..c_{k+1}, and the integer multinomial
-    j!/(m! * L!).  The slot's x-level l = ||L|| + m(k+1) + i - i_k must be
-    at least 1; the upper bound (k+1)*dy + dx - i_k and the per-level cap
-    on m hold automatically.  Given ``last``, only slots with l <= last are
-    kept: the levels of an assignment are at least 1 each and sum to its
-    index p, so no slot above the largest requested index is ever used.
+    Each slot is (m, ps, base): a y-exponent m <= j, a spread L of j - m
+    over the seed coefficients c_1..c_{k+1} held as its seed positions
+    ps = (p_1 <= .. <= p_(j-m)), L_v of them equal to v, and the integer
+    multinomial j!/(m! * L!).  The slot's x-level l = sum(ps) + m(k+1) +
+    i - i_k must be at least 1; the upper bound (k+1)*dy + dx - i_k and the
+    per-level cap on m hold automatically.  Given ``last``, only slots with
+    l <= last are kept: the levels of an assignment are at least 1 each and
+    sum to its index p, so no slot above the largest requested index is
+    ever used.
 
-    For each m one walk reads the spreads as multisets of seed positions
-    p_1 <= .. <= p_(j-m), of weight ||L|| = p_1 + .. + p_(j-m), cut to the
-    window [lo, hi] of weights with levels 1..last.  The lowest next
-    position is pushed first, so the highest pops first; a higher position
-    at the first difference means fewer copies of a lower one, so the
-    spreads come out in lexicographic order.  The closed form's walks
-    prune along the slot lists, so their node counts depend on this order:
-    m rising (so |L| falling), then L lexicographic.
+    For each m one walk builds ps, cut to the window [lo, hi] of weights
+    with levels 1..last, and base along it: C(j, m) (j-m)!, divided by the
+    run count of each copy pushed (every step divides exactly).  The lowest
+    next position is pushed first, so the highest pops first; a higher
+    position at the first difference means fewer copies of a lower one, so
+    the spreads come out in lexicographic order of L.  The closed form's
+    walks prune along the slot lists, so their node counts depend on this
+    order: m rising (so |L| falling), then L lexicographic.
     """
     out = []
     for m in range(j + 1):
-        n, base = j - m, comb(j, m)
+        n = j - m
         lo = 1 - m * (k + 1) - i + i_k
         hi = (k + 1) * n
         if last is not None:
             hi = min(hi, last - m * (k + 1) - i + i_k)
-        # frames (positions so far, their weight)
-        stack = [((), 0)]
+        # frames (positions so far, their weight, copies of the last
+        # position, base so far)
+        stack = [((), 0, 0, comb(j, m) * factorial(n))]
         while stack:
-            ps, w = stack.pop()
+            ps, w, run, base = stack.pop()
             left = n - len(ps)
             if not left:
                 if lo <= w <= hi:
-                    L = [0] * (k + 1)
-                    for v in ps:
-                        L[v - 1] += 1
-                    out.append((m, tuple(L), base * multinomial(L)))
+                    out.append((m, ps, base))
                 continue
+            top = ps[-1] if ps else 1
             # the next position v keeps the lightest completion (v repeated)
             # at most hi and the heaviest (k + 1 after v) at least lo
-            low = max(ps[-1] if ps else 1, lo - w - (left - 1) * (k + 1))
-            for v in range(low, min(k + 1, (hi - w) // left) + 1):
-                stack.append((ps + (v,), w + v))
+            for v in range(max(top, lo - w - (left - 1) * (k + 1)),
+                           min(k + 1, (hi - w) // left) + 1):
+                same = run + 1 if v == top else 1
+                stack.append((ps + (v,), w + v, same, base // same))
     return out
 
 
@@ -258,10 +270,10 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
     """Integer weight of the seed monomial C^T_S inside the A^S term of the
     closed form, for a fixed coefficient multi-exponent S.
 
-    Enumerates the assignments of each exponent s_{i,j} to the admissible
-    Hensel-form slots of (i, j) whose spreads sum to T_S; every summand is
-    the multinomial q!/prod(n!) times the product of slot multinomials, so
-    the result is a natural number (0 for an empty enumeration).
+    The sum, over the assignments of each exponent s_{i,j} to the
+    admissible Hensel-form slots of (i, j) whose spreads add up to T_S, of
+    q!/prod(n!) times the product of slot multinomials: a natural number
+    (0 for an empty sum), read off as a coefficient by ``_e_expand``.
     """
     if len(T_S) != k + 1:
         raise InputError(f"seed multi-exponent needs {k + 1} entries, got {len(T_S)}")
@@ -273,52 +285,37 @@ def e_coefficient(S: Mapping, T_S: Sequence[int], k: int, i_k: int,
         if s < 0 or i < 0 or j < 0 or i > dx or j > dy:
             raise InputError(f"exponent assignment {key}: {s} outside bounds")
         if s:
-            items.append((_slots(int(i), int(j), k, i_k), int(s)))
-    return _e_walk(items, tuple(int(t) for t in T_S), budget)
+            items.append(([(m, tuple(map(ps.count, range(1, k + 2))), base)
+                           for m, ps, base in _slots(int(i), int(j), k, i_k)], int(s)))
+    return _e_expand(items, tuple(int(t) for t in T_S), budget)
 
 
-def _e_walk(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], int]],
-            T: tuple[int, ...], budget: EnumerationBudget) -> int:
-    """``e_coefficient``'s walk over (slots, exponent) items, one budget
-    node per frame, spreads as plain tuples."""
-    if not items:
-        return int(not any(T))
-    if not all(slots for slots, _ in items):
-        return 0
-    fq = factorial(sum(s for _, s in items))
-    last = len(items) - 1
-    acc = 0
-    # a node puts n copies of one slot's spread into the spread left to
-    # cover; a frame is (item index, slot index, exponent left for the item,
-    # spread left, prod n!, prod base^n), and an item's last slot takes all
-    # that is left of its exponent
-    stack = [(0, 0, items[0][1], T, 1, 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        item, slot, left, remaining, denom, bases = pop()
-        budget.spend()
-        slots = items[item][0]
-        _m, L, base = slots[slot]
-        if slot < len(slots) - 1:
-            slot += 1
-            push((item, slot, left, remaining, denom, bases))
-            for n in range(1, left + 1):
-                remaining = tuple(r - t for r, t in zip(remaining, L))
-                if min(remaining) < 0:
-                    break
-                push((item, slot, left - n, remaining, denom * factorial(n), bases * base ** n))
-            continue
-        if left:
-            remaining = tuple(r - left * t for r, t in zip(remaining, L))
-            if min(remaining) < 0:
-                continue
-            denom *= factorial(left)
-            bases *= base ** left
-        if item < last:
-            push((item + 1, 0, items[item + 1][1], remaining, denom, bases))
-        elif not any(remaining):
-            acc += fq // denom * bases
-    return acc
+def _e_expand(items: Sequence[tuple[Sequence[tuple[int, tuple[int, ...], int]], int]],
+              T: tuple[int, ...], budget: EnumerationBudget) -> int:
+    """q!/prod(s!) times the coefficient of C^T in the product over the
+    (slots, s) items of (sum over the slots (m, L, base) of base * C^L)^s.
+
+    That power counts each assignment of an item's s copies to its slots
+    s!/prod(n!) times, so this is the sum over assignments of q!/prod(n!)
+    times the bases.  Each product keeps only the monomials at most T entry
+    by entry, and first charges ``budget`` len(acc) times the number of
+    slots, the most term products it can make.
+    """
+    acc = {(0,) * len(T): 1}
+    q, denom = 0, 1
+    for slots, s in items:
+        q += s
+        denom *= factorial(s)
+        for _ in range(s):
+            budget.spend(len(acc) * len(slots))
+            grown: dict[tuple[int, ...], int] = {}
+            for mono, a in acc.items():
+                for _m, L, base in slots:
+                    key = tuple(map(add, mono, L))
+                    if all(map(le, key, T)):
+                        grown[key] = grown.get(key, 0) + a * base
+            acc = grown
+    return factorial(q) // denom * acc.get(T, 0)
 
 
 def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int, int, int, int]]],
@@ -397,20 +394,18 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
     nums = [v.numerator * (D // v.denominator) for v in seed]
     A = lcm(*(a.denominator for _, a in support))
     # per term of P: i, j, its numerator over A, and its slots of nonzero
-    # value as (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v)
+    # value as (|L|, ||L|| - |L|, (k+1)|L| - ||L||, base * prod n_v^L_v),
+    # read off the seed positions ps: |L| = len(ps), ||L|| = sum(ps)
     usable: list[tuple[int, int, int, list[tuple[int, int, int, int]]]] = []
     for (i, j), a in support:
         slots = _slots(i, j, k, i_k, last)
         budget.spend(len(slots) + 1)
         table = []
-        for _m, L, value in slots:
-            size = weight = 0
-            for v, t in enumerate(L):
-                if t:
-                    size += t
-                    weight += (v + 1) * t
-                    value *= nums[v] ** t
+        for _m, ps, value in slots:
+            for v in ps:
+                value *= nums[v - 1]
             if value:
+                size, weight = len(ps), sum(ps)
                 table.append((size, weight - size, (k + 1) * size - weight, value))
         usable.append((i, j, a.numerator * (A // a.denominator), table))
     terms = len(usable)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -36,15 +37,14 @@ def _too_many_digits(where: str) -> InputError:
 
 
 def rat_to_str(value: Fraction) -> str:
+    value = Fraction(value)
     try:
-        return str(Fraction(value))
+        return str(value)
     except ValueError:  # past the digit limit, which guards input only
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(Fraction(value))
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # Decimal prints an integer exactly at any length, and leaves the
+        # limit alone for every other thread
+        num, den = (str(Decimal(n)) for n in value.as_integer_ratio())
+        return num if den == "1" else f"{num}/{den}"
 
 
 def parse_rat(text: str) -> Fraction:
@@ -157,3 +157,5 @@ def load_json(path: str) -> Any:
         raise InputError(f"{path} is not UTF-8: {exc}") from exc
     except ValueError:  # an integer literal past the digit limit
         raise _too_many_digits(path) from None
+    except RecursionError:
+        raise InputError(f"{path} nests its JSON values too deeply") from None

@@ -217,6 +217,12 @@ def test_input_errors_exit_two(files, capsys):
     code, obj = run(capsys, ["certify", "--poly", str(garbled),
                              "--series", files["root"], "--dx", "2", "--dy", "2"])
     assert code == 2
+    # arrays nested past the JSON reader's depth are an input error too
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, obj = run(capsys, ["implicitize", "--series", str(deep), "--dx", "1", "--dy", "1"])
+    assert code == 2 and obj["error"] == "InputError"
+    assert str(deep) in obj["detail"]
     # usage errors: the minor-search budget is gone, so its flag is now an
     # unknown argument, and a missing required argument
     code, obj = run(capsys, ["implicitize", "--series", files["root"],
@@ -251,10 +257,16 @@ def test_long_precision_exits_two(files, capsys):
     assert f"{sys.get_int_max_str_digits()}-digit limit" in obj["detail"]
 
 
-def test_answer_past_the_digit_limit_is_printed(files, capsys):
+def test_answer_past_the_digit_limit_is_printed(files, capsys, monkeypatch):
     # y = 10^100 x + y^2 has c_n = Catalan(n - 1) 10^(100 n): c_60 has 6033
-    # digits, and is printed exactly; the limit on input stays as it was
+    # digits, and is printed exactly; the limit on input stays as it was,
+    # and is never lifted, not even for a moment, since other threads read it
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def lifted(_limit):
+        raise AssertionError("the digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lifted, raising=False)
     ten = "1" + "0" * 100
     poly = files["dir"] / "catalan.json"
     poly.write_text(dumps({"terms": [{"i": 0, "j": 1, "c": "1"}, {"i": 1, "j": 0, "c": "-" + ten},

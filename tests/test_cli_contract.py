@@ -3,9 +3,10 @@ exactly one JSON object to stdout and exits 0, 1, 2 or 3, never 4.
 
 The files mix canonical and malformed rationals, JSON values of the wrong
 type, wrong and over-long ``precision`` fields, literals past the
-interpreter's int <-> str digit limit and text that is not JSON.  Counts,
-k and the degree bounds run over -1..4 and exponents stay at most 3: a
-large exponent is a large but honest computation, not a contract case.
+interpreter's int <-> str digit limit, text that is not JSON and arrays
+nested too deeply to read.  Counts, k and the degree bounds run over -1..4
+and exponents stay at most 3: a large exponent is a large but honest
+computation, not a contract case.
 """
 
 import contextlib
@@ -89,11 +90,15 @@ def _file_bytes(obj):
     return json.dumps(obj).replace(f'"{_BIG_MARK}"', BIG).encode()
 
 
+_DEEP = b"[" * 5000 + b"]" * 5000  # past the JSON reader's nesting depth
+
+
 def _file(obj_strategy):
-    """A drawn object as JSON, or bytes that are not JSON at all."""
+    """A drawn object as JSON, or bytes that do not read as JSON."""
     dumped = obj_strategy.map(_file_bytes)
     broken = st.sampled_from([b"", b"{", b"[1,", b"{not json", b"\xef\xbb\xbf{}", b"nul\x00l",
-                              b'{"terms": [}', b"\xff\xfe{}"])
+                              b'{"terms": [}', b"\xff\xfe{}", _DEEP,
+                              b'{"terms": ' + _DEEP + b"}"])
     return st.one_of(dumped, dumped, dumped, dumped, broken)
 
 

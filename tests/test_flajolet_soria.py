@@ -15,7 +15,7 @@ from algseries import (BivarPoly, BudgetError, EnumerationBudget, InputError,
                        coefficient_after_branch, e_coefficient,
                        eval_at_poly, fs_coefficient, fs_expand, henselize, newton_lift,
                        series)
-from algseries.flajolet_soria import _e_walk, _slot_walk, _slots, multinomial
+from algseries.flajolet_soria import _e_expand, _slot_walk, _slots, multinomial
 from conftest import (E4_POLY, SMALL_RATIONALS, fixed_point_expand, henselian_instance,
                       late_branch_instances, liftable_instances, nonzero_rational, rational,
                       spreads)
@@ -134,6 +134,13 @@ def test_fs_long_support_does_not_recurse():
 # -- the enumeration layer
 
 
+def spread_slots(i, j, k, i_k, last=None):
+    """``_slots`` with each slot's seed positions ps as the exponent vector
+    L over the k + 1 seed coefficients."""
+    return [(m, tuple(map(ps.count, range(1, k + 2))), base)
+            for m, ps, base in _slots(i, j, k, i_k, last)]
+
+
 def _slots_by_filter(i, j, k, i_k):
     # every spread of j - m over k + 1 places, in lexicographic order, kept
     # when its x-level clears i_k
@@ -153,7 +160,7 @@ def _slots_by_filter(i, j, k, i_k):
 
 def test_slots_match_filter_over_all_spreads():
     for i, j, k, i_k in itertools.product(range(4), range(5), range(1, 4), range(9)):
-        assert _slots(i, j, k, i_k) == _slots_by_filter(i, j, k, i_k)
+        assert spread_slots(i, j, k, i_k) == _slots_by_filter(i, j, k, i_k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,25 +170,22 @@ def test_capped_slots_are_the_low_levels_of_the_full_table(i, j, k, i_k, last):
     # capped at ``last``, the table keeps exactly the slots of x-level at
     # most ``last``, in the uncapped table's order
     def level(slot):
-        m, L, _base = slot
-        return sum((v + 1) * t for v, t in enumerate(L)) + m * (k + 1) + i - i_k
+        m, ps, _base = slot
+        return sum(ps) + m * (k + 1) + i - i_k
 
     full = _slots(i, j, k, i_k)
     assert _slots(i, j, k, i_k, last) == [s for s in full if level(s) <= last]
 
 
 def test_slots_on_a_long_seed():
-    # k = 1099: a spread of one position is the unit vector at the position
-    # its level asks for, 1 to 1100 and none past it, and a pair of weight
-    # 1100 is one of the 550 pairs (v, 1100 - v) with v <= 550
-    def unit(v):
-        return tuple(int(u == v) for u in range(1, 1101))
-
-    assert _slots(0, 1, 1099, 0, 1) == [(0, unit(1), 1)]
-    assert _slots(0, 1, 1099, 549, 1) == [(0, unit(550), 1)]
+    # k = 1099: a spread of one position is the position its level asks
+    # for, 1 to 1100 and none past it, and a pair of weight 1100 is one of
+    # the 550 pairs (v, 1100 - v) with v <= 550
+    assert _slots(0, 1, 1099, 0, 1) == [(0, (1,), 1)]
+    assert _slots(0, 1, 1099, 549, 1) == [(0, (550,), 1)]
     assert _slots(0, 1, 1099, 549, 0) == []
-    # at level 1 the empty spread of m = 1 joins the unit at 1100
-    assert _slots(0, 1, 1099, 1099, 1) == [(0, unit(1100), 1), (1, (0,) * 1100, 1)]
+    # at level 1 the empty spread of m = 1 joins the position 1100
+    assert _slots(0, 1, 1099, 1099, 1) == [(0, (1100,), 1), (1, (), 1)]
     assert _slots(0, 1, 1099, 1100, 1) == []
     assert len(_slots(0, 2, 1099, 1099, 1)) == 550
 
@@ -196,7 +200,7 @@ def test_slots_match_filtered_spreads_at_k50():
             levels = range(1 - m * (k + 1) - i + i_k, last - m * (k + 1) - i + i_k + 1)
             expect += [(m, L, comb(j, m) * multinomial(L))
                        for L in sorted(L for w in levels for L in spreads(k + 1, j - m, w))]
-        assert _slots(i, j, k, i_k, last) == expect
+        assert spread_slots(i, j, k, i_k, last) == expect
 
 
 # -- the closed form
@@ -338,6 +342,16 @@ def test_e_coefficient_hand_checked_pairs():
     assert e_coefficient({(2, 2): 1, (2, 1): 1}, (2, 0), k, i_k, 2, 2) == 2
 
 
+def test_e_coefficient_charges_term_products():
+    # (0, 2) has three slots at k = 1, i_k = 3, so its square is two
+    # products of 1 * 3 and 3 * 3 term products
+    budget = EnumerationBudget(limit=12)
+    assert e_coefficient({(0, 2): 2}, (0, 3), 1, 3, 2, 2, budget=budget) == 4
+    assert budget.used == 12
+    with pytest.raises(BudgetError, match="enumeration exceeded 11 units"):
+        e_coefficient({(0, 2): 2}, (0, 3), 1, 3, 2, 2, budget=EnumerationBudget(limit=11))
+
+
 def test_e_coefficient_values_are_natural():
     rng = random.Random(35)
     k, i_k = 1, 2
@@ -436,12 +450,13 @@ def reference_e_from_slots(items, slot_table, T_S, budget):
     return acc
 
 
-def reference_closed_form(P, c, k, i_k, omega0, p, budget):
-    """The literal closed form: a Fraction monomial per seed multi-exponent."""
+def reference_closed_form(P, c, k, i_k, omega0, p, budget, weight=reference_e_from_slots):
+    """The literal closed form: a Fraction monomial per seed multi-exponent,
+    each weighted by weight(items, slot table, T, budget)."""
     seed = [F(v) for v in c[: k + 1]]
     usable, slot_table = [], {}
     for key, a in sorted(P.terms.items()):
-        slot_table[key] = _slots(key[0], key[1], k, i_k)
+        slot_table[key] = spread_slots(key[0], key[1], k, i_k)
         budget.spend(len(slot_table[key]) + 1)
         usable.append((key, a, bool(slot_table[key])))
     total = F(0)
@@ -474,7 +489,7 @@ def reference_closed_form(P, c, k, i_k, omega0, p, budget):
             inner = F(0)
             for T in spreads(k + 1, tot, wgt):
                 budget.spend()
-                mono = F(reference_e_from_slots(items, slot_table, T, budget))
+                mono = F(weight(items, slot_table, T, budget))
                 for v, t in enumerate(T):
                     mono *= seed[v] ** t
                 inner += mono
@@ -483,15 +498,15 @@ def reference_closed_form(P, c, k, i_k, omega0, p, budget):
     return total
 
 
-def tuple_e_from_slots(items, slot_table, T, budget):
-    """``_e_walk``, the walk ``e_coefficient`` runs, on the reference's
-    arguments."""
-    return _e_walk([(slot_table[key], s) for key, s in items], T, budget)
+def expanded_e_from_slots(items, slot_table, T, budget):
+    """``_e_expand``, the expansion ``e_coefficient`` runs, on the
+    reference's arguments."""
+    return _e_expand([(slot_table[key], s) for key, s in items], T, budget)
 
 
-def _outcome(walk, *args, limit, used=0):
+def _outcome(walk, *args, limit):
     """(value or BudgetError text, budget.used) of one walk."""
-    budget = EnumerationBudget(limit=limit, used=used)
+    budget = EnumerationBudget(limit=limit)
     try:
         value = walk(*args, budget)
     except BudgetError as exc:
@@ -515,9 +530,11 @@ def slot_walks(draw):
     return items, table, T
 
 
-# edge cases of the spread walk, each (items, slot table, T); they were
-# the boundary cases of the packed-integer spreads this walk replaced,
-# whose test names the two tests below keep
+# edge cases of the slot assignments, each (items, slot table, T); they
+# were the boundary cases of packed-integer spreads, whose test names the
+# two tests below keep.  The expansion charges term products where the
+# reference walk charges nodes, so under a budget cut each must give the
+# reference value or fail for that limit
 BOUNDARY_WALKS = [
     # an entry of T equal to |T|, with |T| just below and at a power of two
     *[([((0, 1), 1)], {(0, 1): [(0, (0, 0), 5), (0, (t, 0), 3)]}, (t, 0))
@@ -544,12 +561,13 @@ BOUNDARY_WALKS = [
 
 @pytest.mark.parametrize("items, table, T", BOUNDARY_WALKS)
 def test_packed_walk_boundary_cases(items, table, T):
-    expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
-    assert _outcome(tuple_e_from_slots, items, table, T, limit=10 ** 6) == expect
-    # and with every budget that cuts the walk short
-    for limit in range(1, expect[1] + 1):
-        assert _outcome(tuple_e_from_slots, items, table, T, limit=limit) == \
-            _outcome(reference_e_from_slots, items, table, T, limit=limit)
+    expect, _nodes = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+    value, used = _outcome(expanded_e_from_slots, items, table, T, limit=10 ** 6)
+    assert value == expect
+    # and with every budget that cuts the expansion short
+    for limit in range(1, used + 1):
+        _assert_reference_or_budget(
+            lambda budget: expanded_e_from_slots(items, table, T, budget), expect, limit)
 
 
 @settings(max_examples=400, deadline=None)
@@ -557,22 +575,47 @@ def test_packed_walk_boundary_cases(items, table, T):
 @example(walk=BOUNDARY_WALKS[0], limit=10, used=10)
 def test_packed_walk_matches_tuple_walk(walk, limit, used):
     items, table, T = walk
-    assert _outcome(tuple_e_from_slots, items, table, T, limit=limit + used, used=used) == \
-        _outcome(reference_e_from_slots, items, table, T, limit=limit + used, used=used)
+    expect, _nodes = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+    assert _outcome(expanded_e_from_slots, items, table, T, limit=10 ** 6)[0] == expect
+    _assert_reference_or_budget(lambda budget: expanded_e_from_slots(items, table, T, budget),
+                                expect, limit + used, used)
 
 
 def test_e_coefficient_matches_tuple_walk():
-    # e_coefficient packs its own slots, negative entries of T included
+    # e_coefficient builds its own slots, negative entries of T included
     rng = random.Random(39)
     for _ in range(200):
         k, i_k, dx, dy = rng.randint(1, 2), rng.randint(0, 4), 3, 3
         S = {(rng.randint(0, dx), rng.randint(0, dy)): rng.randint(0, 3) for _ in range(2)}
         T = tuple(rng.randint(-2, 7) for _ in range(k + 1))
         items = [(key, s) for key, s in sorted(S.items()) if s]
-        table = {key: _slots(key[0], key[1], k, i_k) for key, _ in items}
-        expect = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
-        assert _outcome(lambda budget: e_coefficient(S, T, k, i_k, dx, dy, budget=budget),
-                        limit=10 ** 6) == expect
+        table = {key: spread_slots(key[0], key[1], k, i_k) for key, _ in items}
+        expect, nodes = _outcome(reference_e_from_slots, items, table, T, limit=10 ** 6)
+
+        def weight(budget):
+            return e_coefficient(S, T, k, i_k, dx, dy, budget=budget)
+
+        assert _outcome(weight, limit=10 ** 6)[0] == expect
+        for limit in (1, nodes // 2 + 1, nodes):
+            _assert_reference_or_budget(weight, expect, limit)
+
+
+def test_closed_form_from_the_exported_weights():
+    # the literal closed form weighted by e_coefficient, which reads each
+    # weight off a product of slot sums, against the slot walks
+    rng = random.Random(42)
+    for P, seed, bd in liftable_instances(rng, 4) + late_branch_instances(rng, 3):
+        k, i_k = bd.k0 + 1, bd.i_k0 + 1
+        coeffs = list(newton_lift(P, seed, k + 1).series.one_based())
+        dx, dy = max(i for i, _ in P.terms), max(j for _, j in P.terms)
+
+        def weight(items, _table, T, budget):
+            return e_coefficient(dict(items), T, k, i_k, dx, dy, budget=budget)
+
+        for p in (1, 2, 3):
+            got = reference_closed_form(P, coeffs, k, i_k, bd.omega0, p,
+                                        EnumerationBudget(limit=10 ** 9), weight)
+            assert got == closed_form_coefficient(P, coeffs, k, i_k, bd.omega0, p)
 
 
 SEED_RATIONALS = st.one_of(
@@ -581,10 +624,11 @@ SEED_RATIONALS = st.one_of(
               st.one_of(st.integers(1, 2 ** 64), st.sampled_from([2 ** 63, 2 ** 64 - 1, 2 ** 64]))))
 
 
-def _assert_reference_or_budget(walk, expect, limit):
-    """Under any node limit the walk answers the reference value or raises
-    BudgetError for that limit, and nothing else."""
-    budget = EnumerationBudget(limit=limit)
+def _assert_reference_or_budget(walk, expect, limit, used=0):
+    """Under any limit, from ``used`` units spent, the walk answers the
+    reference value or raises BudgetError for that limit, and nothing
+    else."""
+    budget = EnumerationBudget(limit=limit, used=used)
     try:
         value = walk(budget)
     except BudgetError as exc:
