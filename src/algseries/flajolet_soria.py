@@ -48,7 +48,12 @@ it, and no route calls it.
 The slot walk places one copy of an item per node, an item's copies
 taking its slots in non-decreasing order, so every assignment is visited
 once and an item's multinomial e!/prod(n!) is built copy by copy;
-q!/prod(e!) is applied once per S.  A branch stops as soon as it cannot end
+q!/prod(e!) is applied once per S.  The nodes that place the last copy
+of the last item are the leaves: their parent finishes them in its own
+loop over slots, without a frame each, and counts each one as a node.
+The walk over S does the same with the last term's children, which are
+all leaves: it pushes only the one that can use up |S| and counts the
+others without pushing them.  A branch stops as soon as it cannot end
 inside the window [wlo, whi] of weights the request asks for.  Three
 quantities only fall as slots are taken: the size left, whi - weight -
 size left, and weight + (k+1) * size left - wlo (a unit of size weighs
@@ -72,9 +77,10 @@ All routes run under one budget and fail fast once it is exhausted; the
 closed form is exponential and must stay interactive.  Its walks run from
 explicit stacks rather than by recursion, so a long seed or a polynomial
 with many terms costs time and budget but never stack depth.  The closed
-form's walks count their nodes locally against the room the budget has
-left and charge it when the count passes that room (which raises) and when
-a walk ends.  The Flajolet-Soria loop charges len(Q^m) times the number
+form's walks count their nodes locally, a leaf finished or skipped in its
+parent's loop too, against the room the budget has left, and charge it
+when the count passes that room (which raises, at the room plus one) and
+when a walk ends.  The Flajolet-Soria loop charges len(Q^m) times the number
 of terms it multiplies by (those with l + m <= last) before each product,
 and ``e_coefficient`` charges the number of monomials kept times the
 number of slots before each product by a slot sum: term products, not
@@ -89,9 +95,11 @@ The seed c_1..c_{k+1} is cleared to integer numerators n_v over one
 denominator D and the coefficients of P to numerators over one A.  A slot's
 monomial is base * prod n_v over its positions v, over D^|L|, every
 assignment of one S has the same |T|, and every S of one q shares A^q, so
-a Fraction is made only per (p, q, |T|).  The Flajolet-Soria sums clear
-the coefficients of Q the same way and make one Fraction per index n and
-size m.
+the walks sum integers per (p, q, |T|).  With omega0 = wn/wd, each such
+sum is lifted to the one denominator lcm(1..Q) (A wn)^Q D^T of the
+largest q and |T|, and one Fraction is made per index.  The Flajolet-Soria
+sums clear the coefficients of Q the same way and make one Fraction per
+index n and size m.
 """
 
 from __future__ import annotations
@@ -328,6 +336,11 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
     item_slots[t] of (|L|, ||L|| - |L|, (k+1)|L| - ||L||, value), along
     which |L| never rises.  ``rise`` is whi - size and ``fall`` is
     (k+1) * size - wlo; a complete assignment has weight whi - (rise left).
+
+    A node places one copy.  The node that places the last copy of the
+    last item completes an assignment, so the node before it adds each
+    fitting slot's term to the sums in its own loop, with no frame, and
+    charges it one unit, as if it had been pushed and popped.
     """
     last = len(exponents) - 1
     # rest[t]: the most size the items after t can take, from their first
@@ -341,7 +354,7 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
     # a node places one copy; a frame is (item index, slot of the item's
     # last copy, copies of the item left, copies in that slot, size, rise
     # and fall left, the items' e!/prod(n!) so far, prod value).  A copy is
-    # pushed only while the size left fits in what the item's later copies
+    # placed only while the size left fits in what the item's later copies
     # (slots no larger than its own) and the later items can still take,
     # so a complete assignment has no size left.
     stack = [(0, 0, exponents[0], 0, size, rise, fall, 1, 1)]
@@ -352,14 +365,26 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
         if nodes > room:
             budget.spend(nodes)
         if not left:
-            if item == last:
-                acc[rise] = acc.get(rise, 0) + mult * prod
-                continue
             item, slot, run = item + 1, 0, 0
             left = exponents[item]
         copy = exponents[item] - left + 1
-        after = rest[item]
         slots = item_slots[item]
+        if item == last and left == 1:
+            # the last copy: each slot of exactly the size left completes
+            # an assignment, a leaf node finished here and charged one unit
+            for t in range(slot, len(slots)):
+                s, r, f, value = slots[t]
+                if size > s:
+                    break
+                if size < s or rise < r or fall < f:
+                    continue
+                nodes += 1
+                if nodes > room:
+                    budget.spend(nodes)
+                key = rise - r
+                acc[key] = acc.get(key, 0) + mult * copy // (run + 1 if t == slot else 1) * prod * value
+            continue
+        after = rest[item]
         for t in range(slot, len(slots)):
             s, r, f, value = slots[t]
             if size > left * s + after:
@@ -376,7 +401,14 @@ def _slot_walk(exponents: Sequence[int], item_slots: Sequence[Sequence[tuple[int
 
 def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
                  first: int, last: int, budget: EnumerationBudget | None) -> list[Fraction]:
-    """c_{k+1+p} for p = first..last in one walk (see the module docstring)."""
+    """c_{k+1+p} for p = first..last in one walk (see the module docstring).
+
+    The walk over S pushes, of the last term's children, only the one with
+    e = |S| left, the only one that can complete S; it counts the others,
+    a unit each, against the room the budget has left.  Integer sums per
+    (p, q, |T|) go over one common denominator, and each index gets one
+    Fraction.
+    """
     if k < 1:
         raise InputError("k must be at least 1")
     if len(c) < k + 1:
@@ -438,6 +470,19 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
                     top = (hi_star - s1) // i
                 if i + j and (cap - s1 - s2) // (i + j) < top:
                     top = (cap - s1 - s2) // (i + j)
+                if idx + 1 == terms:
+                    # the children e = top..0 are leaves, and only e = left
+                    # can end with nothing left: the others are counted, a
+                    # unit each, but not pushed
+                    if left <= top:
+                        push((terms, 0, s1 + i * left, s2 + j * left,
+                              chosen + ((idx, left),) if left else chosen))
+                        nodes += top
+                    else:
+                        nodes += top + 1
+                    if nodes > room:
+                        budget.spend(room + 1)
+                    continue
                 for e in range(top, 0, -1):
                     push((idx + 1, left - e, s1 + i * e, s2 + j * e, chosen + ((idx, e),)))
                 push((idx + 1, left, s1, s2, chosen))
@@ -465,11 +510,20 @@ def _closed_form(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,
                     sums[key] = sums.get(key, 0) + coeff * value
         budget.spend(nodes)
     # every seed monomial of one |T| shares the denominator D^|T|, and every
-    # coefficient monomial of one q the denominator A^q
-    out = [Fraction(0)] * (last - first + 1)
+    # coefficient monomial of one q the denominator A^q.  With w0 = wn/wd
+    # the term (-1)^q value / (q A^q D^|T| w0^q) goes over the common
+    # denominator lcm(1..Q) (A wn)^Q D^T of the largest q and |T|
+    wn, wd = w0.numerator, w0.denominator
+    Q = max((q for _, q, _ in sums), default=0)
+    T = max((tot for _, _, tot in sums), default=0)
+    lcm_q = lcm(*range(1, Q + 1))
+    scale = [0] + [(-wd) ** q * (lcm_q // q) * (A * wn) ** (Q - q) for q in range(1, Q + 1)]
+    lift = [D ** (T - tot) for tot in range(T + 1)]
+    out = [0] * (last - first + 1)
     for (p, q, tot), value in sums.items():
-        out[p - first] += Fraction(-value if q % 2 else value, q * A ** q * D ** tot) / w0 ** q
-    return out
+        out[p - first] += value * scale[q] * lift[tot]
+    den = lcm_q * (A * wn) ** Q * D ** T
+    return [Fraction(n, den) for n in out]
 
 
 def closed_form_coefficients(P: BivarPoly, c: Sequence, k: int, i_k: int, omega0,

@@ -8,7 +8,8 @@ from math import comb
 
 import pytest
 
-from algseries import (BivarPoly, TruncatedSeries, cli, henselization, newton, newton_lift,
+from algseries import (BivarPoly, EnumerationBudget, TruncatedSeries, branch_data, cli,
+                       closed_form_coefficients, henselization, newton, newton_lift,
                        substitute_tail)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
@@ -580,6 +581,18 @@ def test_henselize_k50_on_a_dense_5x5_root(d55_files, capsys):
 def test_three_routes_agree_on_a_dense_5x5_root_from_a_51_term_seed(d55_files, capsys):
     code, obj = run(capsys, ["expand"] + d55_files + ["--count", "3", "--method", "all"])
     assert code == 0 and obj["agree"] is True and obj["k"] == 50
+
+
+def test_closed_form_units_on_a_dense_5x5_root_from_a_51_term_seed():
+    # one unit per walk node at k = 50, count 3, as ``expand`` calls it;
+    # a leaf finished inside its parent's loop still counts one
+    seed = list(newton_lift(D55, [1], 51).series.one_based())
+    bd = branch_data(D55, TruncatedSeries(seed))
+    budget = EnumerationBudget()
+    got = closed_form_coefficients(D55, seed, 50, bd.i_k0 + 50 - bd.k0, bd.omega0, 3,
+                                   budget=budget)
+    assert got == list(newton_lift(D55, seed, 54).series.one_based())[51:]
+    assert budget.used == 484_479
 
 
 def test_a_changed_coefficient_past_tau_disproves_e4(files, capsys):

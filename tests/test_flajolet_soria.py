@@ -3,7 +3,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial
-from operator import sub
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -409,6 +409,17 @@ def test_closed_form_budget_is_exact_on_e4():
     assert budget.used == 1102
 
 
+def test_closed_form_raises_at_the_first_unit_past_the_limit():
+    # past the 14 units of e4's slot tables, charged at once, the walks
+    # count one node at a time, the S walk's uncounted leaves too, so a
+    # BudgetError always leaves used at limit + 1
+    for limit in range(14, 1102):
+        budget = EnumerationBudget(limit=limit)
+        with pytest.raises(BudgetError):
+            closed_form_coefficient(E4_POLY, [1, 1], 1, 3, 2, 6, budget=budget)
+        assert budget.used == limit + 1
+
+
 # -- the closed-form kernel against the literal walks it replaces
 
 
@@ -504,9 +515,10 @@ def expanded_e_from_slots(items, slot_table, T, budget):
     return _e_expand([(slot_table[key], s) for key, s in items], T, budget)
 
 
-def _outcome(walk, *args, limit):
-    """(value or BudgetError text, budget.used) of one walk."""
-    budget = EnumerationBudget(limit=limit)
+def _outcome(walk, *args, limit, used=0):
+    """(value or BudgetError text, budget.used) of one walk, from ``used``
+    units spent."""
+    budget = EnumerationBudget(limit=limit, used=used)
     try:
         value = walk(*args, budget)
     except BudgetError as exc:
@@ -517,16 +529,25 @@ def _outcome(walk, *args, limit):
 @st.composite
 def slot_walks(draw):
     """Items with positive exponents, a slot table over them (an item may
-    have no slot) and a target spread, some of whose entries may be
-    negative, as ``e_coefficient`` accepts."""
+    have no slot) and a target spread.  Most draws take T as the sum of one
+    drawn slot spread per copy, a reachable target; the others draw T at
+    random, some of its entries negative, as ``e_coefficient`` accepts."""
     fields = draw(st.integers(1, 3))
     spread = st.tuples(*[st.integers(0, 5)] * fields)
+    slots = st.lists(st.tuples(st.just(0), spread, st.integers(1, 9)), min_size=1, max_size=4)
     items, table = [], {}
     for key in range(draw(st.integers(0, 3))):
-        table[(key, 1)] = draw(st.lists(st.tuples(st.just(0), spread, st.integers(1, 9)),
-                                        max_size=4))
+        # now and then an item has no slot
+        table[(key, 1)] = draw(slots) if draw(st.integers(0, 9)) else []
         items.append(((key, 1), draw(st.integers(1, 3))))
-    T = draw(st.tuples(*[st.integers(-3, 16)] * fields))
+    if draw(st.integers(0, 4)):
+        # T as one drawn slot spread per copy
+        T = (0,) * fields
+        for key, s in items:
+            for _ in range(s if table[key] else 0):
+                T = tuple(map(add, T, draw(st.sampled_from(table[key]))[1]))
+    else:
+        T = draw(st.tuples(*[st.integers(-3, 16)] * fields))
     return items, table, T
 
 
@@ -867,6 +888,57 @@ def test_slot_walk_matches_reference_walk(walk, limit):
     expect = reference_slot_walk(*walk, EnumerationBudget(limit=10 ** 9))
     assert _slot_walk(*walk, EnumerationBudget()) == expect
     _assert_reference_or_budget(lambda budget: _slot_walk(*walk, budget), expect, limit)
+
+
+def frame_per_copy_slot_walk(exponents, item_slots, size, rise, fall, budget):
+    """The slot walk with a frame for every node, leaves included: a leaf
+    is pushed by its parent and summed when it is popped.  It is the
+    reference for the units ``_slot_walk`` charges."""
+    last = len(exponents) - 1
+    rest = [0] * (last + 1)
+    for t in range(last, 0, -1):
+        rest[t - 1] = rest[t] + exponents[t] * item_slots[t][0][0]
+    room = budget.limit - budget.used
+    nodes = 0
+    acc = {}
+    stack = [(0, 0, exponents[0], 0, size, rise, fall, 1, 1)]
+    while stack:
+        item, slot, left, run, size, rise, fall, mult, prod = stack.pop()
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        if not left:
+            if item == last:
+                acc[rise] = acc.get(rise, 0) + mult * prod
+                continue
+            item, slot, run = item + 1, 0, 0
+            left = exponents[item]
+        copy = exponents[item] - left + 1
+        after = rest[item]
+        slots = item_slots[item]
+        for t in range(slot, len(slots)):
+            s, r, f, value = slots[t]
+            if size > left * s + after:
+                break
+            if size < s or rise < r or fall < f:
+                continue
+            same = run + 1 if t == slot else 1
+            stack.append((item, t, left - 1, same, size - s, rise - r, fall - f,
+                          mult * copy // same, prod * value))
+    budget.spend(nodes)
+    fq = multinomial(exponents)
+    return {r: fq * v for r, v in acc.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=slot_tables(), limit=st.integers(1, 2000), used=st.integers(0, 50))
+def test_slot_walk_charges_the_units_of_the_frame_per_copy_walk(walk, limit, used):
+    # a leaf finished inside its parent's loop is still one unit: the same
+    # sums and budget.used, and under a cut budget the same value or the
+    # same BudgetError at the same budget.used
+    for cut in (10 ** 9, limit + used):
+        assert _outcome(_slot_walk, *walk, limit=cut, used=used) == \
+            _outcome(frame_per_copy_slot_walk, *walk, limit=cut, used=used)
 
 
 def test_closed_form_and_fs_stay_off_the_series_kernel(monkeypatch):
