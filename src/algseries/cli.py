@@ -235,15 +235,15 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(command_name: str | None = None) -> argparse.ArgumentParser:
     """A new parser for one call; nothing is cached between calls.
 
-    All six subcommands are registered by name, so the top-level help, the
-    usage lines and the invalid-choice message are always the whole tree's.
-    Options, ``--output`` and the handler, most of the cost of building
-    the parser, go only to the subcommand ``command_name`` (the first word
-    of argv), since ``parse_args`` reads no other subparser.  With no first
-    word, or one that is not a command, every subcommand is built in full.
+    When ``command_name`` (the first word of argv) is a command, only that
+    subcommand is registered, since ``parse_args`` reads no other
+    subparser; the six names go into the usage lines as the subparsers'
+    metavar, so every usage line reads as the whole tree's.  With no first
+    word, or one that is not a command, all six are registered and there
+    is no metavar: it would replace "command" in the invalid-choice and
+    the missing-command messages.
     """
     parser = _Parser(prog="algseries", description="exact toolkit for algebraic power series")
-    sub = parser.add_subparsers(dest="command", required=True)
     path, number = {"required": True}, {"type": int, "required": True}
     commands = {
         # only expand enumerates, so only expand takes a budget
@@ -263,10 +263,14 @@ def build_parser(command_name: str | None = None) -> argparse.ArgumentParser:
             "poly": path, "seed": path, "count": number}),
         "selftest": ("run the built-in fixtures", _cmd_selftest, {}),
     }
+    named = command_name in commands
+    # prog given: argparse would run a formatter only to get the same "algseries"
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                metavar="{" + ",".join(commands) + "}" if named else None)
+    if named:
+        commands = {command_name: commands[command_name]}
     for name, (help, handler, options) in commands.items():
         p = sub.add_parser(name, help=help)
-        if command_name in commands and name != command_name:
-            continue
         for option, kind in options.items():
             p.add_argument(f"--{option}", **kind)
         p.add_argument("--output", "-o", help="write the JSON result to this path")

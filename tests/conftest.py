@@ -1,13 +1,17 @@
-"""Shared fixtures: the two reference instances and random generators
-for algebraic-root instances used across the suite."""
+"""Shared fixtures: the two reference instances, random generators
+for algebraic-root instances used across the suite, and the CLI outcome
+check against the parser with every subcommand built."""
 
+import contextlib
+import io
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data,
+from algseries import (BivarPoly, InputError, SupportShape, TruncatedSeries, branch_data, cli,
                        coefficient_after_branch, eval_at_poly)
 from algseries.flajolet_soria import multinomial
 
@@ -244,3 +248,40 @@ def fixed_point_expand(Q, precision):
     for _ in range(precision):
         y = eval_at_poly(Q, y, precision)[1:]
     return TruncatedSeries(y, precision=precision, start=1)
+
+
+# a valid option list for each subcommand, its files as {poly}, {seed} and
+# {root} (a root of E4_POLY) placeholders
+COMMAND_OPTIONS = {
+    "expand": ["--poly", "{poly}", "--seed", "{seed}", "--count", "3"],
+    "implicitize": ["--series", "{root}", "--dx", "2", "--dy", "2"],
+    "henselize": ["--poly", "{poly}", "--seed", "{root}", "--k", "1"],
+    "certify": ["--poly", "{poly}", "--series", "{root}", "--dx", "2", "--dy", "2"],
+    "oracle": ["--poly", "{poly}", "--seed", "{seed}", "--count", "5"],
+    "selftest": [],
+}
+
+
+def cli_outcome(argv, out):
+    """Exit code (or SystemExit code), stdout, stderr and the --output file
+    ``out`` of one ``cli.main(argv)`` call; ``out`` is removed afterwards."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    written = out.read_text() if out.exists() else None
+    if written is not None:
+        out.unlink()
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+def assert_matches_full_parser(argv, out):
+    """``main`` builds only the named subcommand's parser; its outcome must
+    be the one the parser with every subcommand built gives."""
+    named = cli_outcome(argv, out)
+    full_parser = cli.build_parser
+    with mock.patch.object(cli, "build_parser", lambda command_name=None: full_parser()):
+        assert cli_outcome(argv, out) == named, argv
+    return named

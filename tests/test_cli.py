@@ -13,7 +13,8 @@ from algseries import (BivarPoly, EnumerationBudget, TruncatedSeries, branch_dat
                        substitute_tail)
 from algseries.cli import main
 from algseries.serialize import dumps, poly_to_obj, series_to_obj
-from conftest import E4_POLY, liftable_instances, nonzero_rational
+from conftest import (COMMAND_OPTIONS, E4_POLY, assert_matches_full_parser, liftable_instances,
+                      nonzero_rational)
 
 E4_OBJ = poly_to_obj(E4_POLY)
 
@@ -291,16 +292,6 @@ def test_help_still_exits_zero(capsys):
     assert "--minor-budget" not in capsys.readouterr().out
 
 
-# a valid option list for each subcommand
-COMMAND_OPTIONS = {
-    "expand": ["--poly", "{poly}", "--seed", "{seed}", "--count", "3"],
-    "implicitize": ["--series", "{root}", "--dx", "2", "--dy", "2"],
-    "henselize": ["--poly", "{poly}", "--seed", "{root}", "--k", "1"],
-    "certify": ["--poly", "{poly}", "--series", "{root}", "--dx", "2", "--dy", "2"],
-    "oracle": ["--poly", "{poly}", "--seed", "{seed}", "--count", "5"],
-    "selftest": [],
-}
-
 # argv shapes built from (command, its valid options, an output path)
 ARGV_SHAPES = {
     "valid": lambda c, v, out: [c, *v],
@@ -315,43 +306,20 @@ ARGV_SHAPES = {
 }
 
 
-def _outcome(capsys, argv, out):
-    """Exit code (or SystemExit code), stdout, stderr and the --output file."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    stdout, stderr = capsys.readouterr()
-    written = out.read_text() if out.exists() else None
-    if written is not None:
-        out.unlink()
-    return code, stdout, stderr, written
-
-
-def _assert_matches_full_parser(capsys, monkeypatch, argv, out):
-    # main builds only the named subcommand's options; every outcome must be
-    # the one the parser with every subcommand built gives
-    named = _outcome(capsys, argv, out)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command_name=None: full_parser())
-    assert _outcome(capsys, argv, out) == named
-    return named
-
-
 @pytest.mark.parametrize("shape", ARGV_SHAPES)
 @pytest.mark.parametrize("command", COMMAND_OPTIONS)
-def test_named_parser_matches_the_full_parser(files, capsys, monkeypatch, command, shape):
+def test_named_parser_matches_the_full_parser(files, command, shape):
     out = files["dir"] / "out.json"
     options = [a.format(**files) for a in COMMAND_OPTIONS[command]]
     argv = ARGV_SHAPES[shape](command, options, str(out))
-    code = _assert_matches_full_parser(capsys, monkeypatch, argv, out)[0]
+    code = assert_matches_full_parser(argv, out)[0]
     if shape == "valid":
         assert code == 0
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["--bogus"]])
-def test_top_level_argv_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
-    _assert_matches_full_parser(capsys, monkeypatch, argv, tmp_path / "out.json")
+def test_top_level_argv_matches_the_full_parser(tmp_path, argv):
+    assert_matches_full_parser(argv, tmp_path / "out.json")
 
 
 def test_top_level_help_lists_every_command(capsys):
@@ -379,10 +347,27 @@ def test_only_the_named_subcommand_gets_options():
     assert set(full) == set(COMMAND_OPTIONS)
     for command in COMMAND_OPTIONS:
         named = options(cli.build_parser(command))
+        assert set(named) == {command}
         assert named[command] == full[command]
-        assert all(named[c] == ["--help", "-h"] for c in named if c != command)
     for other in [None, "bogus", "--help"]:
         assert options(cli.build_parser(other)) == full
+
+
+@pytest.mark.parametrize("argv, detail", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_top_level_errors_name_the_command_argument(capsys, argv, detail):
+    code, obj = run(capsys, argv)
+    assert code == 2 and obj["error"] == "InputError" and detail in obj["detail"]
+
+
+# a substring, because 3.13's argparse words the usage lines differently
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_a_named_usage_line_lists_every_command(files, capsys, command):
+    options = [a.format(**files) for a in COMMAND_OPTIONS[command]]
+    assert main([command, *options, "extra"]) == 2
+    assert "{expand,implicitize,henselize,certify,oracle,selftest}" in capsys.readouterr().err
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """The CLI contract on random files: every call of every subcommand writes
-exactly one JSON object to stdout and exits 0, 1, 2 or 3, never 4.
+exactly one JSON object to stdout and exits 0, 1, 2 or 3, never 4.  And on
+random argv: the parser built for the first word alone gives every outcome
+the parser with all six subcommands gives.
 
 The files mix canonical and malformed rationals, JSON values of the wrong
 type, wrong and over-long ``precision`` fields, literals past the
@@ -19,7 +21,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algseries import newton_lift
 from algseries.cli import main
+from algseries.serialize import dumps, poly_to_obj, series_to_obj
+from conftest import COMMAND_OPTIONS, E4_POLY, assert_matches_full_parser
 
 BIG = "1" + "0" * 4999
 _BIG_MARK = "@big@"  # a JSON integer of 5000 digits, spliced in after dumping
@@ -147,3 +152,48 @@ def test_one_json_object_and_a_documented_exit_code(call):
     text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1
     assert isinstance(json.loads(text), dict)
+
+
+COMMANDS = list(COMMAND_OPTIONS)
+NAME = st.one_of(st.sampled_from(COMMANDS),
+                 st.sampled_from(COMMANDS).map(lambda c: c[:-1]),
+                 st.sampled_from(COMMANDS).map(lambda c: c + "x"),
+                 st.sampled_from(COMMANDS).map(str.upper))
+OPTION = st.sampled_from(["--poly", "--seed", "--series", "--shape", "--count", "--dx", "--dy",
+                          "--k", "--method", "--budget", "--po", "--c", "--d", "--out",
+                          "--count=2", "--method=fs", "--bogus", "-x", "-", "--"])
+VALUE = st.sampled_from(["{poly}", "{seed}", "{root}", "{missing}", "-1", "0", "1", "2", "4",
+                        "all", "fs", "closed", "newton", "x", "", "extra", "bogus"])
+OUTPUT = st.tuples(st.sampled_from(["-o", "--output", "--outp"]),
+                   st.sampled_from(["{out}", "{missing}/out.json"])).map(list)
+WORDS = st.one_of(NAME.map(lambda w: [w]), OPTION.map(lambda w: [w]), VALUE.map(lambda w: [w]),
+                  st.sampled_from([["-h"], ["--help"]]), OUTPUT, OUTPUT)
+
+
+@st.composite
+def argvs(draw):
+    """A valid call, a bare name or nothing, with words inserted anywhere,
+    mostly between the option pairs after the name."""
+    command = draw(st.sampled_from(COMMANDS))
+    valid = [command, *COMMAND_OPTIONS[command]]
+    argv = list(draw(st.sampled_from([valid, valid, [command], []])))
+    for group in draw(st.lists(WORDS, max_size=3)):
+        between = st.integers(0, len(argv) // 2).map(lambda i: min(2 * i + 1, len(argv)))
+        at = draw(st.one_of(between, between, st.integers(0, len(argv))))
+        argv[at:at] = group
+    return argv
+
+
+E4_ROOT = series_to_obj(newton_lift(E4_POLY, [1, 1], 16).series)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_random_argv_matches_the_full_parser(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / f"{name}.json") for name in ["poly", "seed", "root", "out"]}
+        paths["missing"] = str(Path(tmp) / "missing")
+        for name, obj in [("poly", poly_to_obj(E4_POLY)), ("root", E4_ROOT),
+                          ("seed", {"coefficients": ["1"], "precision": 1})]:
+            Path(paths[name]).write_text(dumps(obj))
+        assert_matches_full_parser([a.format(**paths) for a in argv], Path(paths["out"]))
